@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # import-light: repro.runtime pulls repro.io at import time
     from repro.obs.tracer import Span, Tracer
 
 from repro.core.atoms import Atom, Fact
-from repro.core.dependencies import EGD, TGD, Dependency
+from repro.core.dependencies import EGD, TGD, Dependency, DisjunctiveTGD
 from repro.core.homomorphism import find_homomorphism, iter_homomorphisms
 from repro.core.instance import Instance
 from repro.core.terms import (
@@ -921,23 +921,29 @@ def satisfies(instance: Instance, dependencies: Iterable[Dependency]) -> bool:
             if _find_applicable_egd_assignment(instance, dependency) is not None:
                 return False
         else:
-            body_vars = dependency.body_variables()
             for assignment in iter_homomorphisms(dependency.body, instance):
-                exported = {
-                    variable: value
-                    for variable, value in assignment.items()
-                    if variable in body_vars
-                }
-                satisfied = False
-                for disjunct in dependency.disjuncts:
-                    relevant = {
-                        variable: value
-                        for variable, value in exported.items()
-                        if any(variable in atom.variables() for atom in disjunct)
-                    }
-                    if find_homomorphism(list(disjunct), instance, relevant) is not None:
-                        satisfied = True
-                        break
-                if not satisfied:
+                if not _disjunct_satisfied(instance, dependency, assignment):
                     return False
     return True
+
+
+def _disjunct_satisfied(
+    instance: Instance,
+    dependency: DisjunctiveTGD,
+    assignment: Mapping[Variable, InstanceTerm],
+) -> bool:
+    """Is some disjunct of ``dependency`` witnessed in ``instance``?
+
+    ``assignment`` is a body match (it binds body variables only); each
+    disjunct is searched with the variables it shares with the body held
+    fixed and its existentials free.
+    """
+    for disjunct in dependency.disjuncts:
+        relevant = {
+            variable: value
+            for variable, value in assignment.items()
+            if any(variable in atom.variables() for atom in disjunct)
+        }
+        if find_homomorphism(list(disjunct), instance, relevant) is not None:
+            return True
+    return False

@@ -671,17 +671,14 @@ class NetworkSimulator:
     def reachable(self, peer: str) -> bool:
         """Is ``peer`` live and connected to the feed right now?
 
-        In the legacy star this is the direct link to the publisher; in
-        a relay mesh the publisher need not be adjacent, so reachability
-        walks the relay graph (:meth:`_reachable_set`) — a peer is
-        reachable iff some custody-carrying path of connected links and
-        live relays leads from the publisher to it.
+        Reachability walks the relay graph (:meth:`_reachable_set`) — a
+        peer is reachable iff some custody-carrying path of connected
+        links and live relays leads from the publisher to it.  On the
+        derived star that path is the direct link to the publisher.
         """
         node = self.nodes[peer]
         if node.crashed:
             return False
-        if not self.scenario.topology:
-            return self.transport.connected(self.scenario.publisher, peer)
         return peer in self._reachable_set()
 
     def _reachable_set(self) -> set[str]:
@@ -753,22 +750,19 @@ class NetworkSimulator:
                 break
             repaired_any = False
             for name in lagging:
-                if self.scenario.topology:
-                    sources = self._repair_sources(name)
-                    upstream = self.scorer.best_upstream(name, sources)
-                    if upstream is None:
-                        # No caught-up neighbor yet: a later round will
-                        # reach this peer once its upstream is repaired.
-                        continue
-                    if upstream == feed:
-                        payload = self.latest_snapshot
-                    else:
-                        source = self.nodes[upstream].session.last_source
-                        if source is None:  # pragma: no cover - caught up
-                            continue
-                        payload = source
+                sources = self._repair_sources(name)
+                upstream = self.scorer.best_upstream(name, sources)
+                if upstream is None:
+                    # No caught-up neighbor yet: a later round will
+                    # reach this peer once its upstream is repaired.
+                    continue
+                if upstream == feed:
+                    payload = self.latest_snapshot
                 else:
-                    upstream, payload = feed, self.latest_snapshot
+                    source = self.nodes[upstream].session.last_source
+                    if source is None:  # pragma: no cover - caught up
+                        continue
+                    payload = source
                 self.stats["anti_entropy"] += 1
                 repaired_any = True
                 if self.metrics is not None:
@@ -786,7 +780,7 @@ class NetworkSimulator:
                 )
                 self._observe_apply(message, outcome)
                 self.scorer.record((upstream, name), self._score_outcome(outcome))
-            if self.scenario.topology and not repaired_any:
+            if not repaired_any:
                 # Every lagging peer is waiting on an upstream that can
                 # no longer catch up (e.g. severed mid-graph): further
                 # rounds cannot make progress.

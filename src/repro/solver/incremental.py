@@ -19,7 +19,9 @@ homomorphically equivalent to the from-scratch chase of the patched base,
 and both are universal, so existence answers and witnesses agree with
 :func:`repro.solver.tractable.exists_solution_tractable` up to null
 renaming.  One null factory spans both stages and every round, so fresh
-nulls never collide with cached ones.
+nulls never collide with cached ones; it starts above every null of the
+first round's input, so they never collide with nulls a resumed session
+brought back from its journal either.
 
 The solver is *self-healing*: any precondition failure
 (:class:`~repro.exceptions.IncrementalChaseUnsupported`) or interrupted
@@ -67,7 +69,9 @@ class IncrementalTractableSolver:
 
     setting: PDESetting
     check_membership: bool = True
-    _factory: NullFactory = field(default_factory=NullFactory, repr=False)
+    #: Created by the first cold build, above every null of that build's
+    #: input — a session resumed from its journal already holds nulls.
+    _factory: NullFactory | None = field(default=None, repr=False)
     _source: Instance | None = field(default=None, repr=False)
     _target: Instance | None = field(default=None, repr=False)
     _st_result: ChaseResult | None = field(default=None, repr=False)
@@ -200,6 +204,8 @@ class IncrementalTractableSolver:
         self.setting.validate_source_instance(source)
         self.setting.validate_target_instance(target)
         combined = self.setting.combine(source, target)
+        if self._factory is None:
+            self._factory = NullFactory.above(combined.nulls())
         with tracer.span("sigma-st-chase"):
             st_result = chase(
                 combined,

@@ -23,7 +23,12 @@ Model per round:
 The incremental trick: imported facts that are still consistent with
 ``I_t`` are passed as part of the target instance, so the solver's chase
 starts from the previous materialization instead of from scratch; facts
-that lost their justification are retracted first (and reported).
+that lost their justification are retracted first (and reported).  The
+retraction follows one named repair policy: the ``Σ_ts`` matches whose
+head has no witness in ``I_t`` are visited in the canonical order of
+their premise facts, and each drops its first imported, unpinned premise
+fact unless an earlier drop already broke it — so the retracted set does
+not depend on set iteration order or the process's hash seed.
 
 Resilience (the :mod:`repro.runtime` integration):
 
@@ -73,13 +78,20 @@ break the chain once, forcing one full-snapshot refresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from repro.core.chase import _unify_row, satisfies
-from repro.core.dependencies import TGD
-from repro.core.homomorphism import find_homomorphism, iter_homomorphisms
+from repro.core.atoms import Fact
+from repro.core.chase import (
+    _disjunct_satisfied,
+    _head_satisfied,
+    _instantiate_body,
+    _unify_row,
+)
+from repro.core.dependencies import TGD, DisjunctiveTGD
+from repro.core.homomorphism import iter_homomorphisms
 from repro.core.instance import Instance
 from repro.core.setting import PDESetting
+from repro.core.terms import term_sort_key
 from repro.exceptions import BudgetExceeded, SolverError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -140,6 +152,41 @@ def watermark_lag(
         return len(stamps)
     mark = Stamp(*watermark)
     return sum(1 for stamp in stamps if stamp > mark)
+
+
+def _candidate_matches(
+    dependency: TGD | DisjunctiveTGD,
+    state: Instance,
+    withdrawn_rows: dict[str, set] | None,
+) -> Iterator[dict]:
+    """Body matches of ``dependency`` over ``state`` the scan must check.
+
+    Every match when ``withdrawn_rows`` is None; otherwise the matches
+    whose head (any disjunct's, for a disjunctive dependency) unifies
+    with a withdrawn row on the body variables.  A match may be yielded
+    more than once.
+    """
+    if withdrawn_rows is None:
+        yield from iter_homomorphisms(dependency.body, state)
+        return
+    body_vars = dependency.body_variables()
+    heads = (
+        (dependency.head,) if isinstance(dependency, TGD) else dependency.disjuncts
+    )
+    for head in heads:
+        for atom in head:
+            for args in withdrawn_rows.get(atom.relation, ()):
+                partial = _unify_row(atom, args, restrict=body_vars)
+                if partial is not None:
+                    yield from iter_homomorphisms(dependency.body, state, partial)
+
+
+def _premise_key(premise: tuple[Fact, ...]) -> tuple:
+    """The canonical visiting order of violated matches: by premise facts."""
+    return tuple(
+        (fact.relation, tuple(term_sort_key(value) for value in fact.args))
+        for fact in premise
+    )
 
 
 @dataclass
@@ -277,151 +324,79 @@ class SyncSession:
         return self._last_source
 
     def _still_justified(self, source: Instance) -> tuple[Instance, Instance]:
-        """Split imported facts into (still consistent, to retract).
+        """Split imported facts into (still justified, retracted).
 
-        An imported fact survives iff keeping it cannot violate ``Σ_ts``:
-        we keep the maximal subset of imported facts such that the target
-        fragment they form satisfies the target-to-source constraints
-        against the new source.  Because ``Σ_ts`` is anti-monotone in the
-        target, greedy removal of facts participating in violated premises
-        reaches such a subset.
+        The full-snapshot seed of :meth:`_retraction_scan`: every
+        ``Σ_ts`` body match over the current state is a candidate.
         """
-        survivors = self.pinned.union(self._imported)
-        retracted = Instance(schema=self.setting.target_schema)
-        changed = True
-        while changed:
-            changed = False
-            combined = self.setting.combine(source, survivors)
-            if satisfies(combined, self.setting.sigma_ts):
-                break
-            # Drop one imported fact from some violated premise and retry.
-            for dependency in self.setting.sigma_ts:
-                for assignment in iter_homomorphisms(dependency.body, survivors):
-                    exported = {
-                        v: value
-                        for v, value in assignment.items()
-                        if v in dependency.body_variables()
-                    }
-                    satisfied = False
-                    if isinstance(dependency, TGD):
-                        used = set()
-                        for atom in dependency.head:
-                            used |= atom.variables()
-                        relevant = {v: val for v, val in exported.items() if v in used}
-                        satisfied = (
-                            find_homomorphism(dependency.head, source, relevant)
-                            is not None
-                        )
-                    else:
-                        for disjunct in dependency.disjuncts:
-                            used = set()
-                            for atom in disjunct:
-                                used |= atom.variables()
-                            relevant = {
-                                v: val for v, val in exported.items() if v in used
-                            }
-                            if (
-                                find_homomorphism(list(disjunct), source, relevant)
-                                is not None
-                            ):
-                                satisfied = True
-                                break
-                    if satisfied:
-                        continue
-                    # Retract the first non-pinned fact of the premise.
-                    premise_facts = [
-                        atom.substitute(assignment).to_fact()
-                        for atom in dependency.body
-                    ]
-                    dropped = False
-                    for fact in premise_facts:
-                        if fact in self._imported and fact not in self.pinned:
-                            survivors.discard(fact)
-                            retracted.add(fact)
-                            dropped = True
-                            break
-                    if dropped:
-                        changed = True
-                        break
-                if changed:
-                    break
-            else:
-                break
-        kept = Instance(schema=self.setting.target_schema)
-        for fact in survivors:
-            if fact in self._imported and fact not in retracted:
-                kept.add(fact)
-        return kept, retracted
+        return self._retraction_scan(source, None)
 
     def _still_justified_delta(
         self, source: Instance, withdrawn: Instance
-    ) -> tuple[Instance, Instance] | None:
-        """Delta-narrowed retraction scan; None when the fast path is off.
+    ) -> tuple[Instance, Instance]:
+        """The delta-round seed of :meth:`_retraction_scan`.
 
-        Sound only under the delta-round invariant (which
-        :meth:`sync_delta` establishes before calling): the current state
-        was committed as part of a solution against the retained base
-        source, so every ``Σ_ts`` body match over it had a head witness
-        there.  A source differing only by ``(added, withdrawn)`` can
-        invalidate a match only if its head witness used a withdrawn
-        fact — so only body matches whose heads unify with withdrawn rows
-        are re-checked, instead of re-enumerating every match.
-        Disjunctive ``Σ_ts`` dependencies keep the full scan.
+        Sound under the delta-chain invariant :meth:`sync_delta` checks
+        before calling: the current state was committed as a solution
+        against the retained base source, so every ``Σ_ts`` body match
+        over it had a head witness there.  A source differing only by
+        ``(added, withdrawn)`` can break a match only if that witness used
+        a withdrawn fact, so only the matches whose head (or, for a
+        disjunctive dependency, any disjunct) unifies with a withdrawn row
+        are candidates.  They are the same violated matches the full scan
+        finds, so both seeds retract the same facts.
         """
-        for dependency in self.setting.sigma_ts:
-            if not isinstance(dependency, TGD):
-                return None
-        retracted = Instance(schema=self.setting.target_schema)
-        withdrawn_rows: dict[str, set] = {}
-        for fact in withdrawn:
-            withdrawn_rows.setdefault(fact.relation, set()).add(fact.args)
-        if not withdrawn_rows:
-            # Additions alone cannot break a witness (Σ_ts heads only gain
-            # candidates), so everything imported stays justified.
-            return self._imported.copy(), retracted
+        return self._retraction_scan(source, withdrawn)
 
+    def _retraction_scan(
+        self, source: Instance, withdrawn: Instance | None
+    ) -> tuple[Instance, Instance]:
+        """One ``Σ_ts`` pass: (imported facts kept, imported facts retracted).
+
+        The repair policy: collect the candidate body matches over
+        ``pinned ∪ imported`` whose head has no witness in ``source``,
+        visit them sorted by their instantiated premise facts, and drop
+        the first imported, unpinned premise fact of each match that has
+        not already lost one.  ``Σ_ts`` heads live in the source, so
+        dropping target facts only removes matches and never creates a
+        violation: one pass leaves ``pinned ∪ kept`` satisfying ``Σ_ts``
+        against ``source`` (unless a violated premise is entirely pinned,
+        which the solve then rejects).  The canonical order makes the
+        retracted set independent of set iteration order, and so of the
+        process's hash seed.
+
+        ``withdrawn`` is None for a full scan; otherwise only matches a
+        withdrawn row could have witnessed are candidates (see
+        :meth:`_still_justified_delta`).
+        """
         state = self.pinned.union(self._imported)
+        withdrawn_rows: dict[str, set] | None = None
+        if withdrawn is not None:
+            withdrawn_rows = {}
+            for fact in withdrawn:
+                withdrawn_rows.setdefault(fact.relation, set()).add(fact.args)
+        violated: set[tuple[Fact, ...]] = set()
         for dependency in self.setting.sigma_ts:
-            body_vars = dependency.body_variables()
-            head_vars: set = set()
-            for atom in dependency.head:
-                head_vars |= atom.variables()
-            seen: set = set()
-            for atom in dependency.head:
-                rows = withdrawn_rows.get(atom.relation)
-                if not rows:
+            checked: set[tuple[Fact, ...]] = set()
+            for assignment in _candidate_matches(dependency, state, withdrawn_rows):
+                premise = _instantiate_body(dependency, assignment)
+                if premise in checked:
                     continue
-                for args in rows:
-                    partial = _unify_row(atom, args, restrict=body_vars)
-                    if partial is None:
-                        continue
-                    for assignment in iter_homomorphisms(
-                        dependency.body, state, partial
-                    ):
-                        key = frozenset(assignment.items())
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        premise_facts = [
-                            body_atom.substitute(assignment).to_fact()
-                            for body_atom in dependency.body
-                        ]
-                        if any(fact in retracted for fact in premise_facts):
-                            continue  # the match already lost a premise
-                        relevant = {
-                            v: val
-                            for v, val in assignment.items()
-                            if v in head_vars
-                        }
-                        if (
-                            find_homomorphism(dependency.head, source, relevant)
-                            is not None
-                        ):
-                            continue  # witness survives in the new source
-                        for fact in premise_facts:
-                            if fact in self._imported and fact not in self.pinned:
-                                retracted.add(fact)
-                                break
+                checked.add(premise)
+                if isinstance(dependency, TGD):
+                    witnessed = _head_satisfied(source, dependency, assignment)
+                else:
+                    witnessed = _disjunct_satisfied(source, dependency, assignment)
+                if not witnessed:
+                    violated.add(premise)
+        retracted = Instance(schema=self.setting.target_schema)
+        for premise in sorted(violated, key=_premise_key):
+            if any(fact in retracted for fact in premise):
+                continue  # the match already lost a premise
+            for fact in premise:
+                if fact in self._imported and fact not in self.pinned:
+                    retracted.add(fact)
+                    break
         kept = self._imported.copy()
         for fact in retracted:
             kept.discard(fact)
@@ -509,7 +484,7 @@ class SyncSession:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         stamp: Stamp | tuple[int, int] | None = None,
-        _retraction: "tuple[Instance, Instance] | None" = None,
+        _withdrawn: Instance | None = None,
     ) -> SyncOutcome:
         """Run one synchronization round against a new source snapshot.
 
@@ -536,6 +511,10 @@ class SyncSession:
         ``journal-commit`` event after the durable commit.  A ``metrics``
         registry accumulates round/added/retracted counters and is
         attached to the outcome.
+
+        ``_withdrawn`` is :meth:`sync_delta`'s channel: the withdrawn
+        facts of a delta whose chain it has checked, which narrow the
+        retraction scan to the matches they could have witnessed.
         """
         if tracer is None:
             tracer = NULL_TRACER
@@ -600,10 +579,10 @@ class SyncSession:
 
         with tracer.span("sync-round", round=self.rounds + 1) as round_span:
             with tracer.span("retraction-scan"):
-                if _retraction is not None:
-                    kept, retracted = _retraction
-                else:
+                if _withdrawn is None:
                     kept, retracted = self._still_justified(source)
+                else:
+                    kept, retracted = self._still_justified_delta(source, _withdrawn)
             seed = self.pinned.union(kept)
 
             max_attempts = self.retry.max_attempts if self.retry is not None else 1
@@ -721,7 +700,9 @@ class SyncSession:
         (I_{t-1} - withdrawn) ∪ added`` from its retained base and runs
         the ordinary stamped round on the result, so a delta round and a
         full-snapshot round of the same ``I_t`` commit identical state —
-        the delta only shrinks the wire.
+        the delta only shrinks the wire and, whether or not
+        ``incremental`` is on, narrows the round's retraction scan to the
+        matches the withdrawn facts could have witnessed.
 
         Ordering mirrors :meth:`sync`: a stamp at or below the watermark
         is a stale no-op *before* any chain check (redelivered deltas are
@@ -794,12 +775,7 @@ class SyncSession:
             source.add(fact)
         # The chain is intact, so the committed state solves the retained
         # base — exactly the invariant the delta-narrowed retraction scan
-        # needs.  (Same-epoch deltas only: sync() resets the incremental
-        # pipeline on epoch bumps, but the scan invariant still holds.)
-        retraction = None
-        if self.incremental:
-            with tracer.span("retraction-scan-delta"):
-                retraction = self._still_justified_delta(source, withdrawn)
+        # needs, whichever solver serves the round.
         outcome = self.sync(
             source,
             node_budget=node_budget,
@@ -807,7 +783,7 @@ class SyncSession:
             tracer=tracer,
             metrics=metrics,
             stamp=stamp,
-            _retraction=retraction,
+            _withdrawn=withdrawn,
         )
         outcome.delta = True
         return outcome

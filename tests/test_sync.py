@@ -234,6 +234,33 @@ class TestResumeWithRetractions:
         ).stale
         assert restored.state() == parse_instance("db(b, 2)")
 
+    def test_resumed_genomics_session_matches_uninterrupted(self, tmp_path):
+        # Journaled evidence facts carry labeled nulls (the existential
+        # batch); the resumed session's first chase must mint new labels
+        # above them, or fresh evidence shares a null with old evidence.
+        from repro.core.homomorphism import has_instance_homomorphism
+        from repro.runtime import SessionJournal
+        from repro.sync import Stamp
+        from repro.workloads import generate_genomics_feed
+
+        setting = genomics_setting()
+        feed = generate_genomics_feed(rounds=3, proteins=8, churn=0.25, seed=3)
+        uninterrupted = SyncSession(setting)
+        for seq, snapshot in enumerate(feed, 1):
+            assert uninterrupted.sync(snapshot, stamp=Stamp(1, seq)).ok
+
+        journal = SessionJournal(tmp_path / "genomics.journal")
+        session = SyncSession(setting, journal=journal)
+        for seq, snapshot in enumerate(feed[:2], 1):
+            assert session.sync(snapshot, stamp=Stamp(1, seq)).ok
+        del session
+        resumed = SyncSession.resume(journal)
+        assert resumed.sync(feed[2], stamp=Stamp(1, 3)).ok
+
+        assert setting.is_solution(feed[2], Instance(), resumed.state())
+        assert has_instance_homomorphism(resumed.state(), uninterrupted.state())
+        assert has_instance_homomorphism(uninterrupted.state(), resumed.state())
+
 
 class TestDeltaRounds:
     """Incremental ``(added, withdrawn)`` rounds via ``sync_delta``."""
