@@ -7,10 +7,16 @@ growing instances for weakly acyclic sets (linear-to-polynomial growth),
 verifies the classifier on a catalogue of dependency sets, and shows the
 step budget catching a non-weakly-acyclic set.
 
-The second half benchmarks the incremental (semi-naive) chase on the
+A scaling bound then times the chase loop on two chains at n = 200 and
+800, an egd chain (n merges) and a solution-aware chain, and fails when
+the 800/200 time ratio reaches :data:`SCALING_BOUND`: a linear loop reads
+4x, a quadratic one 16x.
+
+The last part benchmarks the incremental (semi-naive) chase on the
 sync hot path: a genomics churn feed replayed through ``sync_delta``
-with the warm incremental pipeline on and off, recorded to
-``BENCH_chase.json`` for the nightly lane to archive.
+with the warm incremental pipeline on and off.  The scaling and hot-path
+figures are recorded to ``BENCH_chase.json`` for the nightly lane to
+archive.
 """
 
 from __future__ import annotations
@@ -160,6 +166,79 @@ def test_certified_budget(benchmark, table):
     )
 
 
+SCALING_SIZES = (200, 800)
+
+#: Ceiling on the 800/200 time ratio of a scaling chain: a linear loop
+#: reads 4x and a quadratic one 16x.
+SCALING_BOUND = 8.0
+
+
+def _egd_chain(n: int):
+    """n ``E``/``G`` pairs: each invents ``H(a, w)``, then merges ``w`` into ``b``."""
+    dependencies = parse_dependencies(
+        "E(x) -> H(x, w); G(x, y) -> H(x, y); H(x, y), H(x, z) -> y = z"
+    )
+    instance = parse_instance("; ".join(f"E(a{i}); G(a{i}, b{i})" for i in range(n)))
+
+    def run():
+        result = chase(instance, dependencies)
+        assert sum(1 for step in result.steps if step.merged) == n
+        assert result.instance.count("H") == n
+
+    return run
+
+
+def _solution_aware_chain(n: int):
+    """An n-edge chain whose solution supplies every ``H`` and ``F`` witness."""
+    dependencies = parse_dependencies("E(x, y) -> H(x, w); H(x, w) -> F(w)")
+    start = chain_instance(n)
+    solution = start.copy()
+    solution.add_all(parse_instance("; ".join(f"H(a{i}, c{i})" for i in range(n))))
+    solution.add_all(parse_instance("; ".join(f"F(c{i})" for i in range(n))))
+
+    def run():
+        result = solution_aware_chase(start, dependencies, solution)
+        assert result.step_count == 2 * n
+        assert solution.contains_instance(result.instance)
+
+    return run
+
+
+SCALING_CHAINS = {"egd-chain": _egd_chain, "solution-aware-chain": _solution_aware_chain}
+
+
+@pytest.mark.parametrize("workload", sorted(SCALING_CHAINS))
+def test_chase_loop_scaling_bound(workload, table, record):
+    """The chase loop stays near-linear on egd merges and solution witnesses."""
+    medians = {}
+    for n in SCALING_SIZES:
+        run = SCALING_CHAINS[workload](n)
+        samples = []
+        for _ in range(3):
+            started = time.perf_counter()
+            run()
+            samples.append(time.perf_counter() - started)
+        medians[n] = statistics.median(samples) * 1000
+    small, large = SCALING_SIZES
+    ratio = medians[large] / medians[small]
+    table(
+        f"chase loop scaling: {workload}",
+        ["n", "median"],
+        [[n, f"{ms:.1f} ms"] for n, ms in medians.items()]
+        + [[f"{large}/{small}", f"{ratio:.1f}x (bound {SCALING_BOUND:.0f}x)"]],
+    )
+    record(
+        "bench_chase.scaling",
+        {
+            "workload": workload,
+            **{f"median_ms_{n}": round(ms, 3) for n, ms in medians.items()},
+            "ratio": round(ratio, 2),
+            "bound": SCALING_BOUND,
+        },
+    )
+    assert ratio < SCALING_BOUND
+
+
 def _drive_churn(feed, setting, incremental: bool) -> tuple[list[float], Instance]:
     """Replay ``feed`` through ``sync_delta``; per-round latencies + state."""
     schema = setting.source_schema
@@ -191,10 +270,11 @@ def test_incremental_chase_sync_hot_path(benchmark, table, record):
 
     Both sessions run the same delta-narrowed retraction scan, so the
     ratio isolates the solve: warm ``chase_incremental`` against a
-    from-scratch Figure 3 solve.  Measured at 1.7-2.3x on a shared
-    2-vCPU VM (median ``sync_delta`` round ~13-21 ms against ~31-47 ms);
-    the bar keeps margin below that, and both runs must converge to
-    hom-equivalent states.
+    from-scratch Figure 3 solve, whose cold chases run the same
+    semi-naive loop.  Measured at 1.6-2.3x on a shared 2-vCPU VM (median
+    ``sync_delta`` round ~11-21 ms against ~22-47 ms); the bar keeps
+    margin below that, and both runs must converge to hom-equivalent
+    states.
     """
     setting = genomics_setting()
     feed = generate_genomics_feed(rounds=10, proteins=120, churn=0.12, seed=7)

@@ -1,27 +1,34 @@
 """The chase procedure.
 
-Implements two procedures:
+One in-place semi-naive fixpoint (:func:`_fixpoint`) is the only chase
+loop.  Three entry points seed it:
 
-* the **standard (restricted) chase** with tgds and egds, following the
-  definitions of Fagin, Kolaitis, Miller and Popa that the paper builds on:
-  a tgd fires on a body homomorphism that cannot be extended to the head,
-  creating fresh labeled nulls for the existential variables; an egd merges
-  a null with another value, or *fails* (``⊥``) when it would equate two
-  distinct constants;
-* the **solution-aware chase** (Definitions 6 and 7 of the paper), which
-  witnesses existential variables with values drawn from a given instance
-  ``K'`` that contains the chased instance and satisfies the tgds.  Lemma 1
-  shows its sequences have polynomial length for weakly acyclic sets; the
-  library uses it to build small solutions (Lemma 2).
+* :func:`chase`, the **standard (restricted) chase** with tgds and egds,
+  following the definitions of Fagin, Kolaitis, Miller and Popa that the
+  paper builds on: a tgd fires on a body homomorphism that cannot be
+  extended to the head, creating fresh labeled nulls for the existential
+  variables; an egd merges a null with another value, or *fails* (``⊥``)
+  when it would equate two distinct constants.  Every input fact seeds
+  the first round;
+* :func:`chase_incremental`, which patches a finished chase with a base
+  delta: the loop is seeded with the delta left after provenance-guided
+  retraction;
+* :func:`solution_aware_chase`, the **solution-aware chase** (Definitions
+  6 and 7 of the paper), whose firing rule takes existential witnesses
+  from a given instance ``K'`` that contains the chased instance and
+  satisfies the tgds.  Lemma 1 shows its sequences have polynomial length
+  for weakly acyclic sets; the library uses it to build small solutions
+  (Lemma 2).
 
-Both record per-step provenance, which the tests use to check the paper's
+All record per-step provenance, which the tests use to check the paper's
 length bounds and which makes chase output debuggable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # import-light: repro.runtime pulls repro.io at import time
     from repro.runtime.budget import Budget
@@ -59,6 +66,14 @@ __all__ = [
 #: Default ceiling on chase steps; generous for every workload in this repo.
 DEFAULT_MAX_STEPS = 200_000
 
+#: Rows grouped by relation name: a round's delta, or withdrawn facts.
+Rows = dict[str, set]
+
+#: A firing rule: the head assignment a tgd step fires under, given the
+#: body match (fresh nulls in the standard chase, values of the given
+#: solution in the solution-aware one).
+Witness = Callable[[TGD, dict[Variable, InstanceTerm]], Mapping[Variable, InstanceTerm]]
+
 
 @dataclass(frozen=True)
 class ChaseStep:
@@ -84,7 +99,8 @@ class ChaseResult:
     Attributes:
         instance: the final instance (the chased fixpoint).
         steps: provenance, one entry per applied step.
-        rounds: number of full passes over the dependency set.
+        rounds: number of semi-naive rounds, counting the last one, which
+            derived nothing new.
         incremental: True when produced by :func:`chase_incremental`.
         retracted: facts of the prior result withdrawn by the incremental
             run's provenance-guided retraction (net of re-derivations).
@@ -181,81 +197,278 @@ def _head_satisfied(
     return find_homomorphism(tgd.head, instance, frontier) is not None
 
 
-def _instantiate_head(
-    head: Sequence[Atom], assignment: Mapping[Variable, InstanceTerm]
-) -> list[Fact]:
-    """Ground the head atoms under a total assignment of their variables."""
-    facts = []
-    for atom in head:
-        args: list[InstanceTerm] = []
-        for term in atom.args:
-            if is_variable(term):
-                args.append(assignment[term])  # type: ignore[index]
-            else:
-                args.append(term)  # type: ignore[arg-type]
-        facts.append(Fact(atom.relation, args))
-    return facts
-
-
-def _apply_tgd_step(
-    instance: Instance,
-    tgd: TGD,
-    assignment: Mapping[Variable, InstanceTerm],
-    null_factory: NullFactory,
-) -> ChaseStep:
-    """Fire ``tgd`` under ``assignment``, minting fresh nulls for existentials."""
-    total: dict[Variable, InstanceTerm] = dict(assignment)
-    for variable in sorted(tgd.existential_variables(), key=lambda v: v.name):
-        total[variable] = null_factory.fresh(hint=variable.name)
-    facts = _instantiate_head(tgd.head, total)
-    added = tuple(fact for fact in facts if instance.add(fact))
-    return ChaseStep(dependency=tgd, assignment=dict(assignment), added_facts=added)
-
-
-def _apply_egd_step(
-    instance: Instance,
-    egd: EGD,
-    assignment: Mapping[Variable, InstanceTerm],
-) -> tuple[Instance, ChaseStep]:
-    """Fire ``egd``: merge the two values or raise :class:`ChaseFailure`."""
-    left = assignment[egd.left]
-    right = assignment[egd.right]
-    if isinstance(left, Constant) and isinstance(right, Constant):
-        raise ChaseFailure(
-            f"egd {egd} requires {left} = {right}, but both are distinct constants"
-        )
-    # Keep the constant if there is one; otherwise keep the lower-labeled null.
-    if isinstance(left, Constant):
-        kept, dropped = left, right
-    elif isinstance(right, Constant):
-        kept, dropped = right, left
-    else:
-        kept, dropped = sorted((left, right))  # type: ignore[type-var]
-    merged = instance.rename({dropped: kept})
-    step = ChaseStep(
-        dependency=egd, assignment=dict(assignment), merged=(kept, dropped)
+def _ground(
+    atoms: Sequence[Atom], assignment: Mapping[Variable, InstanceTerm]
+) -> tuple[Fact, ...]:
+    """Ground ``atoms`` under an assignment binding all of their variables."""
+    return tuple(
+        Fact(atom.relation, [assignment[t] if is_variable(t) else t for t in atom.args])
+        for atom in atoms
     )
-    return merged, step
 
 
-def _find_applicable_tgd_assignment(
-    instance: Instance, tgd: TGD
+def _unify_row(
+    atom: Atom,
+    args: Sequence[InstanceTerm],
+    bind: "frozenset[Variable] | set[Variable]",
 ) -> dict[Variable, InstanceTerm] | None:
-    """Return a body homomorphism with no head extension, or None."""
-    for assignment in iter_homomorphisms(tgd.body, instance):
-        if not _head_satisfied(instance, tgd, assignment):
-            return assignment
-    return None
+    """Match one atom against one row, binding the variables in ``bind``.
+
+    Variables outside ``bind`` (a head atom's existentials) match
+    anything.  Returns None on a constant or repeated-variable mismatch.
+    """
+    binding: dict[Variable, InstanceTerm] = {}
+    for term, value in zip(atom.args, args):
+        if is_variable(term):
+            if term not in bind:
+                continue
+            bound = binding.get(term)  # type: ignore[arg-type]
+            if bound is None:
+                binding[term] = value  # type: ignore[index]
+            elif bound != value:
+                return None
+        elif term != value:
+            return None
+    return binding
 
 
-def _find_applicable_egd_assignment(
-    instance: Instance, egd: EGD
-) -> dict[Variable, InstanceTerm] | None:
-    """Return a body homomorphism violating the equality, or None."""
-    for assignment in iter_homomorphisms(egd.body, instance):
-        if assignment[egd.left] != assignment[egd.right]:
-            return assignment
-    return None
+def _seeded_matches(
+    seeds: Iterable[Atom],
+    body: Sequence[Atom],
+    instance: Instance,
+    rows: Mapping[str, set],
+    bind: "frozenset[Variable] | set[Variable]",
+) -> Iterator[dict[Variable, InstanceTerm]]:
+    """Body matches under which some seed atom maps onto one of ``rows``.
+
+    The seeded matcher: unify one atom with one row, binding the body
+    variables ``bind`` it holds, then match ``body`` over ``instance``
+    under that binding, so the cost scales with ``rows`` rather than with
+    the relations.  Seeds are body atoms for delta matching, and head
+    atoms to find the matches a withdrawn row may have witnessed.  When
+    one unification binds every body variable, a containment check
+    replaces the search.  A match may be yielded more than once.
+    """
+    for atom in seeds:
+        atom_rows = rows.get(atom.relation)
+        if not atom_rows:
+            continue
+        for args in atom_rows:
+            partial = _unify_row(atom, args, bind)
+            if partial is None:
+                continue
+            if len(partial) == len(bind):
+                if all(fact in instance for fact in _ground(body, partial)):
+                    yield partial
+            else:
+                yield from iter_homomorphisms(body, instance, partial)
+
+
+def _fresh_nulls(null_factory: NullFactory) -> Witness:
+    """The standard chase's firing rule: a fresh null per existential."""
+
+    def witness(tgd, assignment):
+        total = dict(assignment)
+        for variable in sorted(tgd.existential_variables(), key=lambda v: v.name):
+            total[variable] = null_factory.fresh(hint=variable.name)
+        return total
+
+    return witness
+
+
+def _witnesses_in(solution: Instance) -> Witness:
+    """The solution-aware firing rule: a head witness inside ``solution``."""
+
+    def witness(tgd, assignment):
+        frontier = _frontier_assignment(tgd, assignment)
+        found = find_homomorphism(tgd.head, solution, frontier)
+        if found is None:
+            raise ChaseFailure(
+                f"given solution does not satisfy tgd {tgd} under {assignment}"
+            )
+        return found
+
+    return witness
+
+
+def _facts_holding(instance: Instance, values: Iterable[InstanceTerm]) -> set[Fact]:
+    """The facts of ``instance`` holding any of ``values`` (index lookups)."""
+    values = list(values)
+    found: set[Fact] = set()
+    for relation in instance.relations():
+        arity = len(next(iter(instance.rows(relation))))
+        for position in range(arity):
+            for value in values:
+                for args in instance.candidate_rows(relation, position, value):
+                    found.add(Fact(relation, args))
+    return found
+
+
+def _merge(
+    current: Instance,
+    violations: Sequence[tuple[EGD, dict[Variable, InstanceTerm]]],
+    steps: list[ChaseStep],
+    added: Rows,
+    max_steps: int,
+    budget: "Budget | None",
+) -> None:
+    """Apply one round's egd violations as one batch of merges, in place.
+
+    The violated equalities are closed under union-find: a class keeps its
+    constant, else its lowest-labeled null, and a class holding two
+    constants raises :class:`ChaseFailure`.  Each union is recorded as an
+    egd step whose ``merged`` is ``(kept, dropped)``.  Only the facts
+    holding a dropped value are rewritten; those the rewrite makes new
+    join ``added``, the next round's delta.
+    """
+    parent: dict[InstanceTerm, InstanceTerm] = {}
+
+    def find(value):
+        root = value
+        while root in parent:
+            root = parent[root]
+        while value != root:
+            parent[value], value = root, parent[value]
+        return root
+
+    for egd, assignment in violations:
+        kept, dropped = find(assignment[egd.left]), find(assignment[egd.right])
+        if kept == dropped:
+            continue
+        if isinstance(kept, Constant) and isinstance(dropped, Constant):
+            raise ChaseFailure(
+                f"egd {egd} requires {kept} = {dropped}, but both are distinct constants"
+            )
+        if isinstance(dropped, Constant) or (
+            not isinstance(kept, Constant) and dropped < kept  # type: ignore[operator]
+        ):
+            kept, dropped = dropped, kept
+        if len(steps) >= max_steps:
+            raise ChaseNonTermination(max_steps)
+        parent[dropped] = kept
+        steps.append(
+            ChaseStep(dependency=egd, assignment=assignment, merged=(kept, dropped))
+        )
+        if budget is not None:
+            budget.charge_chase_step()
+    image = {value: find(value) for value in parent}
+    for fact in _facts_holding(current, image):
+        current.discard(fact)
+        rows = added.get(fact.relation)
+        if rows is not None:
+            rows.discard(fact.args)
+        rewritten = fact.substitute(image)
+        if current.add(rewritten):
+            added.setdefault(rewritten.relation, set()).add(rewritten.args)
+
+
+def _fixpoint(
+    current: Instance,
+    dependencies: Sequence[Dependency],
+    witness: Witness,
+    delta: Rows | None,
+    max_steps: int,
+    budget: "Budget | None" = None,
+    withdrawn: Rows | None = None,
+    merges: bool = True,
+) -> tuple[list[ChaseStep], int]:
+    """The chase loop: chase ``current`` in place; return (steps, rounds).
+
+    Semi-naive: a round considers only the body matches that touch its
+    delta.  Round one's delta is ``delta`` (None means every fact of
+    ``current``, and each body match is then enumerated once over the
+    whole instance); each later round's is the facts the previous round
+    added or rewrote.  Round one also re-examines the tgd matches whose
+    head unifies with a ``withdrawn`` row, since their witness may be
+    gone.  A match whose head is not witnessed fires under the head
+    assignment ``witness`` returns.  The egd violations a round finds are
+    merged together at its end (:func:`_merge`); with ``merges`` False a
+    violation raises :class:`IncrementalChaseUnsupported` instead.
+    """
+    tgds = [d for d in dependencies if isinstance(d, TGD)]
+    egds = [d for d in dependencies if isinstance(d, EGD)]
+    egd_vars = [egd.body_variables() for egd in egds]
+    # Matches already considered, per tgd; a considered match stays
+    # witnessed (heads only grow, and merges rewrite witnesses along).
+    seen: list[set] = [set() for _ in tgds]
+    steps: list[ChaseStep] = []
+    rounds = 0
+    while True:
+        rounds += 1
+        added: Rows = {}
+        for tgd, considered in zip(tgds, seen):
+            if budget is not None:
+                budget.checkpoint()
+            # Materialize the matches before firing: firing mutates
+            # ``current`` and the matcher must not observe it.
+            if delta is None:
+                matches = list(iter_homomorphisms(tgd.body, current))
+            else:
+                bind = tgd.body_variables()
+                candidates: Iterable = _seeded_matches(
+                    tgd.body, tgd.body, current, delta, bind
+                )
+                if withdrawn and rounds == 1:
+                    candidates = chain(
+                        candidates,
+                        _seeded_matches(tgd.head, tgd.body, current, withdrawn, bind),
+                    )
+                matches = []
+                for assignment in candidates:
+                    key = frozenset(assignment.items())
+                    if key not in considered:
+                        considered.add(key)
+                        matches.append(assignment)
+            for assignment in matches:
+                if len(steps) >= max_steps:
+                    raise ChaseNonTermination(max_steps)
+                if _head_satisfied(current, tgd, assignment):
+                    continue
+                facts = _ground(tgd.head, witness(tgd, assignment))
+                step = ChaseStep(
+                    dependency=tgd,
+                    assignment=dict(assignment),
+                    added_facts=tuple(fact for fact in facts if current.add(fact)),
+                )
+                steps.append(step)
+                for fact in step.added_facts:
+                    added.setdefault(fact.relation, set()).add(fact.args)
+                if budget is not None:
+                    budget.charge_chase_step()
+                    if step.added_facts:
+                        budget.charge_facts(len(step.added_facts))
+        violations = []
+        for egd, bind in zip(egds, egd_vars):
+            if budget is not None:
+                budget.checkpoint()
+            if delta is None:
+                candidates = iter_homomorphisms(egd.body, current)
+            else:
+                candidates = _seeded_matches(egd.body, egd.body, current, delta, bind)
+            for assignment in candidates:
+                if assignment[egd.left] != assignment[egd.right]:
+                    if not merges:
+                        raise IncrementalChaseUnsupported(
+                            f"egd {egd} became applicable under the delta; "
+                            "re-chase from scratch"
+                        )
+                    violations.append((egd, assignment))
+        if violations:
+            _merge(current, violations, steps, added, max_steps, budget)
+        if not any(added.values()):
+            return steps, rounds
+        delta = added
+
+
+def _deterministic(dependencies: Iterable[Dependency]) -> list[Dependency]:
+    """The dependencies as a list, refusing disjunctive tgds."""
+    dependencies = list(dependencies)
+    for dependency in dependencies:
+        if not isinstance(dependency, (TGD, EGD)):
+            raise DependencyError(
+                f"cannot chase non-deterministic dependency {dependency}"
+            )
+    return dependencies
 
 
 def _note_chase_span(span: "Span", steps: Sequence[ChaseStep], rounds: int) -> None:
@@ -297,6 +510,8 @@ def chase(
 
     The input instance is not modified.  Dependencies may be tgds and egds
     (disjunctive tgds cannot be chased deterministically and are rejected).
+    Every input fact seeds the first round of the semi-naive loop; the
+    egd violations of a round are merged in one batch at its end.
 
     Args:
         instance: the instance to chase.
@@ -324,12 +539,7 @@ def chase(
             cancellation); governed solver entry points convert this into
             a degraded result when the budget is not strict.
     """
-    dependencies = list(dependencies)
-    for dependency in dependencies:
-        if not isinstance(dependency, (TGD, EGD)):
-            raise DependencyError(
-                f"cannot chase non-deterministic dependency {dependency}"
-            )
+    dependencies = _deterministic(dependencies)
     if null_factory is None:
         null_factory = NullFactory.above(instance.nulls())
     if tracer is None:
@@ -337,46 +547,9 @@ def chase(
 
     with tracer.span("chase", dependencies=len(dependencies)) as span:
         current = instance.copy()
-        steps: list[ChaseStep] = []
-        rounds = 0
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            for dependency in dependencies:
-                if budget is not None:
-                    budget.checkpoint()
-                if isinstance(dependency, TGD):
-                    # Enumerate all body matches against a stable snapshot,
-                    # then re-check applicability just before firing each one;
-                    # this keeps the restricted-chase semantics while touching
-                    # each match once per round instead of re-enumerating the
-                    # whole match set after every step.
-                    matches = list(iter_homomorphisms(dependency.body, current))
-                    for assignment in matches:
-                        if len(steps) >= max_steps:
-                            raise ChaseNonTermination(max_steps)
-                        if _head_satisfied(current, dependency, assignment):
-                            continue
-                        step = _apply_tgd_step(current, dependency, assignment, null_factory)
-                        steps.append(step)
-                        changed = True
-                        if budget is not None:
-                            budget.charge_chase_step()
-                            if step.added_facts:
-                                budget.charge_facts(len(step.added_facts))
-                else:
-                    while True:
-                        if len(steps) >= max_steps:
-                            raise ChaseNonTermination(max_steps)
-                        assignment = _find_applicable_egd_assignment(current, dependency)
-                        if assignment is None:
-                            break
-                        current, step = _apply_egd_step(current, dependency, assignment)
-                        steps.append(step)
-                        changed = True
-                        if budget is not None:
-                            budget.charge_chase_step()
+        steps, rounds = _fixpoint(
+            current, dependencies, _fresh_nulls(null_factory), None, max_steps, budget
+        )
         if tracer.enabled:
             _note_chase_span(span, steps, rounds)
     return ChaseResult(instance=current, steps=steps, rounds=rounds)
@@ -430,7 +603,7 @@ class _SupportIndex:
         sid = id(step)
         self.ordered.append(step)
         self.by_id[sid] = step
-        body = _instantiate_body(step.dependency, step.assignment)
+        body = _ground(step.dependency.body, step.assignment)
         self.justification[sid] = body
         for fact in body:
             self.consumers.setdefault(fact, set()).add(sid)
@@ -461,146 +634,6 @@ class _SupportIndex:
         return list(self.ordered)
 
 
-def _instantiate_body(
-    dependency: Dependency, assignment: Mapping[Variable, InstanceTerm]
-) -> tuple[Fact, ...]:
-    """Ground a dependency's body atoms under a total body assignment."""
-    facts = []
-    for atom in dependency.body:
-        args = tuple(
-            assignment[term] if is_variable(term) else term for term in atom.args
-        )
-        facts.append(Fact(atom.relation, args))
-    return tuple(facts)
-
-
-def _unify_row(
-    atom: Atom,
-    args: Sequence[InstanceTerm],
-    restrict: "frozenset[Variable] | set[Variable] | None" = None,
-) -> dict[Variable, InstanceTerm] | None:
-    """Match one atom against one row, returning the variable bindings.
-
-    With ``restrict``, only variables in the set are bound (used to unify
-    head atoms, whose existential variables are unconstrained); other
-    positions match anything.  Returns None on a constant or repeated-
-    variable mismatch.
-    """
-    binding: dict[Variable, InstanceTerm] = {}
-    for term, value in zip(atom.args, args):
-        if is_variable(term):
-            if restrict is not None and term not in restrict:
-                continue
-            bound = binding.get(term)  # type: ignore[arg-type]
-            if bound is None:
-                binding[term] = value  # type: ignore[index]
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return binding
-
-
-def _check_bound_match(
-    atoms: Sequence[Atom],
-    instance: Instance,
-    assignment: Mapping[Variable, InstanceTerm],
-) -> bool:
-    """Verify a *total* assignment maps every atom to a fact (no search)."""
-    for atom in atoms:
-        args = tuple(
-            assignment[term] if is_variable(term) else term for term in atom.args
-        )
-        if Fact(atom.relation, args) not in instance:
-            return False
-    return True
-
-
-def _iter_delta_assignments(
-    atoms: Sequence[Atom],
-    instance: Instance,
-    delta_rows: Mapping[str, set],
-    seen: set,
-    all_vars: "frozenset[Variable] | set[Variable]",
-) -> Iterable[dict[Variable, InstanceTerm]]:
-    """Semi-naive body matches: some atom is unified against a delta row.
-
-    For each body atom whose relation has delta rows, the atom is unified
-    with each delta row and the remaining atoms are matched with the
-    resulting bindings pre-bound, so enumeration cost scales with the
-    delta, not the relation.  ``seen`` dedupes assignments across atoms,
-    rows, and rounds (head satisfaction only grows during a run, so a
-    once-considered assignment never needs a second look).  When one
-    unification already binds every variable of the conjunction (the
-    single-atom-body common case), the backtracking matcher is skipped
-    entirely in favor of direct containment checks.
-    """
-    for atom in atoms:
-        rows = delta_rows.get(atom.relation)
-        if not rows:
-            continue
-        for args in rows:
-            partial = _unify_row(atom, args)
-            if partial is None:
-                continue
-            if len(partial) == len(all_vars):
-                # ``seen`` records only *successful* matches: a failed
-                # containment may succeed in a later round once a missing
-                # body fact is derived, and must then be re-considered.
-                key = frozenset(partial.items())
-                if key in seen:
-                    continue
-                if _check_bound_match(atoms, instance, partial):
-                    seen.add(key)
-                    yield partial
-                continue
-            for assignment in iter_homomorphisms(atoms, instance, partial):
-                key = frozenset(assignment.items())
-                if key not in seen:
-                    seen.add(key)
-                    yield assignment
-
-
-def _iter_head_removal_assignments(
-    tgd: TGD,
-    instance: Instance,
-    removed_rows: Mapping[str, set],
-    seen: set,
-) -> Iterable[dict[Variable, InstanceTerm]]:
-    """Body matches whose head witness may have been retracted.
-
-    The restricted chase fires a tgd only when the head is *not* already
-    witnessed, so removing facts can make old body matches applicable
-    again (their witness vanished) and can strand facts that are still
-    derivable (their recorded derivation was over-deleted but another
-    one survives).  Both cases are found the same way: unify each head
-    atom with each removed row — binding only the universal variables —
-    and enumerate body matches under those bindings.
-    """
-    body_vars = tgd.body_variables()
-    for atom in tgd.head:
-        rows = removed_rows.get(atom.relation)
-        if not rows:
-            continue
-        for args in rows:
-            partial = _unify_row(atom, args, restrict=body_vars)
-            if partial is None:
-                continue
-            if len(partial) == len(body_vars):
-                key = frozenset(partial.items())
-                if key in seen:
-                    continue
-                if _check_bound_match(tgd.body, instance, partial):
-                    seen.add(key)
-                    yield partial
-                continue
-            for assignment in iter_homomorphisms(tgd.body, instance, partial):
-                key = frozenset(assignment.items())
-                if key not in seen:
-                    seen.add(key)
-                    yield assignment
-
-
 def chase_incremental(
     prior: ChaseResult,
     added: Iterable[Fact],
@@ -623,14 +656,14 @@ def chase_incremental(
     * **provenance-guided retraction** (DRed-style over-deletion): derived
       facts whose recorded justification transitively involved a withdrawn
       fact are retracted by walking the provenance support graph;
-    * **semi-naive re-firing**: tgd matches are enumerated only where a
-      body atom touches a changed fact, or where a head witness was
-      retracted — the latter also re-derives over-deleted facts that have
-      a surviving alternative justification (with fresh nulls for
-      existentials, hence equivalence *up to null renaming*).
+    * **semi-naive re-firing**: the chase loop runs seeded with the added
+      facts, plus the tgd matches whose head witness was retracted — the
+      latter also re-derives over-deleted facts that have a surviving
+      alternative justification (with fresh nulls for existentials, hence
+      equivalence *up to null renaming*).
 
     Preconditions, enforced by raising :class:`IncrementalChaseUnsupported`
-    (callers fall back to the from-scratch :func:`chase`):
+    (callers re-chase from scratch with :func:`chase`):
 
     * the prior history contains no egd merges (a merge rewrites facts in
       place, invalidating recorded provenance);
@@ -650,13 +683,7 @@ def chase_incremental(
     report the net effect, and a ``chase-incremental`` span records the
     same counters on ``tracer``.
     """
-    dependencies = list(dependencies)
-    tgds = [d for d in dependencies if isinstance(d, TGD)]
-    egds = [d for d in dependencies if isinstance(d, EGD)]
-    if len(tgds) + len(egds) != len(dependencies):
-        raise DependencyError(
-            "cannot chase non-deterministic dependencies incrementally"
-        )
+    dependencies = _deterministic(dependencies)
     if any(step.merged is not None for step in prior.steps):
         raise IncrementalChaseUnsupported(
             "prior chase history contains egd merges; re-chase from scratch"
@@ -722,81 +749,29 @@ def chase_incremental(
                 if step is not None:
                     queue.extend(step.added_facts)
 
-        removed_rows: dict[str, set] = {}
+        removed_rows: Rows = {}
         for fact in removed:
             current.discard(fact)
             removed_rows.setdefault(fact.relation, set()).add(fact.args)
 
-        # --- apply the input delta --------------------------------------
-        delta_rows: dict[str, set] = {}
-        inserted_rows: dict[str, set] = {}
-        for fact in added:
-            if current.add(fact):
-                delta_rows.setdefault(fact.relation, set()).add(fact.args)
-                inserted_rows.setdefault(fact.relation, set()).add(fact.args)
-
-        # --- semi-naive fixpoint ----------------------------------------
-        new_steps: list[ChaseStep] = []
-        seen: list[set] = [set() for _ in tgds]
-        body_vars = [tgd.body_variables() for tgd in tgds]
-        rounds = 0
-        first = True
-        while True:
-            rounds += 1
-            next_rows: dict[str, set] = {}
-            for position, tgd in enumerate(tgds):
-                if budget is not None:
-                    budget.checkpoint()
-                # Materialize the candidate list before firing: firing
-                # mutates ``current`` and the matcher must not observe it.
-                matches = list(
-                    _iter_delta_assignments(
-                        tgd.body, current, delta_rows, seen[position],
-                        body_vars[position],
-                    )
-                )
-                if first:
-                    matches.extend(
-                        _iter_head_removal_assignments(
-                            tgd, current, removed_rows, seen[position]
-                        )
-                    )
-                for assignment in matches:
-                    if len(new_steps) >= max_steps:
-                        raise ChaseNonTermination(max_steps)
-                    if _head_satisfied(current, tgd, assignment):
-                        continue
-                    step = _apply_tgd_step(current, tgd, assignment, null_factory)
-                    new_steps.append(step)
-                    index.add(step)
-                    for fact in step.added_facts:
-                        next_rows.setdefault(fact.relation, set()).add(fact.args)
-                        inserted_rows.setdefault(fact.relation, set()).add(fact.args)
-                    if budget is not None:
-                        budget.charge_chase_step()
-                        if step.added_facts:
-                            budget.charge_facts(len(step.added_facts))
-            first = False
-            if not next_rows:
-                break
-            delta_rows = next_rows
-
-        # --- egds: delta-restricted applicability check -----------------
-        # The prior result is a fixpoint, so every egd was satisfied, and
-        # removals only shrink the match set; an egd can become applicable
-        # only through a match touching a fact inserted by this call.
-        for egd in egds:
-            if budget is not None:
-                budget.checkpoint()
-            seen_egd: set = set()
-            for assignment in _iter_delta_assignments(
-                egd.body, current, inserted_rows, seen_egd, egd.body_variables()
-            ):
-                if assignment[egd.left] != assignment[egd.right]:
-                    raise IncrementalChaseUnsupported(
-                        f"egd {egd} became applicable under the delta; "
-                        "re-chase from scratch"
-                    )
+        # --- the chase loop, seeded with the input delta ----------------
+        inserted = [fact for fact in added if current.add(fact)]
+        delta_rows: Rows = {}
+        for fact in inserted:
+            delta_rows.setdefault(fact.relation, set()).add(fact.args)
+        new_steps, rounds = _fixpoint(
+            current,
+            dependencies,
+            _fresh_nulls(null_factory),
+            delta_rows,
+            max_steps,
+            budget,
+            withdrawn=removed_rows,
+            merges=False,
+        )
+        for step in new_steps:
+            index.add(step)
+            inserted.extend(step.added_facts)
 
         # --- assemble ----------------------------------------------------
         # An inserted fact was absent when inserted, and insertion happens
@@ -805,12 +780,7 @@ def chase_incremental(
         # retraction removed it first.  (No reference to ``prior.instance``
         # here — under ``consume`` it aliases ``current``.)
         net_removed = tuple(fact for fact in removed if fact not in current)
-        delta_added = tuple(
-            fact
-            for relation, rows in inserted_rows.items()
-            for fact in (Fact(relation, args) for args in rows)
-            if fact not in removed
-        )
+        delta_added = tuple(fact for fact in inserted if fact not in removed)
         if tracer.enabled:
             span.set("rounds", rounds)
             span.set("retracted", len(net_removed))
@@ -841,7 +811,8 @@ def solution_aware_chase(
     must contain ``instance`` and satisfy the tgds among ``dependencies``,
     so every applicable tgd step has a witness inside ``solution``; no fresh
     nulls are ever created.  By Lemma 2, the result is a sub-instance of
-    ``solution`` of size polynomial in the input.
+    ``solution`` of size polynomial in the input.  It runs the same loop
+    as :func:`chase`; only the firing rule differs.
 
     Raises:
         ChaseFailure: on a failing egd step, or if ``solution`` does not
@@ -849,7 +820,7 @@ def solution_aware_chase(
             ``solution`` satisfies the tgds is violated).
         ChaseNonTermination: if ``max_steps`` is exceeded.
     """
-    dependencies = list(dependencies)
+    dependencies = _deterministic(dependencies)
     if not solution.contains_instance(instance):
         raise ChaseFailure("solution-aware chase requires solution ⊇ instance")
     if tracer is None:
@@ -859,47 +830,9 @@ def solution_aware_chase(
         "solution-aware-chase", dependencies=len(dependencies)
     ) as span:
         current = instance.copy()
-        steps: list[ChaseStep] = []
-        rounds = 0
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            for dependency in dependencies:
-                while True:
-                    if len(steps) >= max_steps:
-                        raise ChaseNonTermination(max_steps)
-                    if isinstance(dependency, TGD):
-                        assignment = _find_applicable_tgd_assignment(current, dependency)
-                        if assignment is None:
-                            break
-                        frontier = _frontier_assignment(dependency, assignment)
-                        witness = find_homomorphism(dependency.head, solution, frontier)
-                        if witness is None:
-                            raise ChaseFailure(
-                                f"given solution does not satisfy tgd {dependency} "
-                                f"under {assignment}"
-                            )
-                        facts = _instantiate_head(dependency.head, witness)
-                        added = tuple(fact for fact in facts if current.add(fact))
-                        steps.append(
-                            ChaseStep(
-                                dependency=dependency,
-                                assignment=dict(assignment),
-                                added_facts=added,
-                            )
-                        )
-                    elif isinstance(dependency, EGD):
-                        assignment = _find_applicable_egd_assignment(current, dependency)
-                        if assignment is None:
-                            break
-                        current, step = _apply_egd_step(current, dependency, assignment)
-                        steps.append(step)
-                    else:
-                        raise DependencyError(
-                            f"cannot chase non-deterministic dependency {dependency}"
-                        )
-                    changed = True
+        steps, rounds = _fixpoint(
+            current, dependencies, _witnesses_in(solution), None, max_steps
+        )
         if tracer.enabled:
             _note_chase_span(span, steps, rounds)
     return ChaseResult(instance=current, steps=steps, rounds=rounds)
@@ -913,17 +846,15 @@ def satisfies(instance: Instance, dependencies: Iterable[Dependency]) -> bool:
     Disjunctive tgds: every body homomorphism extends into some disjunct.
     """
     for dependency in dependencies:
-        if isinstance(dependency, TGD):
-            for assignment in iter_homomorphisms(dependency.body, instance):
-                if not _head_satisfied(instance, dependency, assignment):
-                    return False
-        elif isinstance(dependency, EGD):
-            if _find_applicable_egd_assignment(instance, dependency) is not None:
+        for assignment in iter_homomorphisms(dependency.body, instance):
+            if isinstance(dependency, TGD):
+                holds = _head_satisfied(instance, dependency, assignment)
+            elif isinstance(dependency, EGD):
+                holds = assignment[dependency.left] == assignment[dependency.right]
+            else:
+                holds = _disjunct_satisfied(instance, dependency, assignment)
+            if not holds:
                 return False
-        else:
-            for assignment in iter_homomorphisms(dependency.body, instance):
-                if not _disjunct_satisfied(instance, dependency, assignment):
-                    return False
     return True
 
 

@@ -27,9 +27,8 @@ PR 8 grew it into a *distributed* observability plane:
 * :class:`FlightRecorder` / :func:`read_postmortem` — a bounded ring of
   recent events flushed to a torn-tail-tolerant post-mortem file on
   crash/abort/stop (:mod:`repro.obs.recorder`);
-* :data:`METRIC_NAME_TABLE` / :data:`DEPRECATED_METRICS` — the unified
-  ``net.*`` / ``netd.*`` / ``chaos.*`` metric vocabulary with rename
-  shims (:mod:`repro.obs.names`).
+* :data:`METRIC_NAME_TABLE` — the unified ``net.*`` / ``netd.*`` /
+  ``chaos.*`` metric vocabulary (:mod:`repro.obs.names`).
 
 CLI integration: ``--trace PATH`` / ``--chrome PATH`` / ``--metrics`` on
 ``solve`` / ``certain`` / ``sync`` / ``simulate`` / ``profile``,
@@ -57,9 +56,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.names import (
-    DEPRECATED_METRICS,
     METRIC_NAME_TABLE,
-    canonical_metric_name,
     metric_documented,
     undocumented,
 )
@@ -84,8 +81,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_DURATION_BUCKETS_MS",
     "METRIC_NAME_TABLE",
-    "DEPRECATED_METRICS",
-    "canonical_metric_name",
     "metric_documented",
     "undocumented",
     "TRACE_SCHEMA_VERSION",

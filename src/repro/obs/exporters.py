@@ -117,23 +117,12 @@ def read_trace_jsonl(path: str | Path) -> list[Span]:
     final line (crash mid-write) is dropped silently, along with any
     spans whose parent record was lost with it.
     """
+    # Function-level import, as in ``read_postmortem``: repro.runtime
+    # reaches repro.core, whose chase module imports repro.obs.tracer.
+    from repro.runtime.journal import read_jsonl_tolerant
+
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise TraceError(f"cannot read trace {path}: {error}")
-    lines = text.split("\n")
-    tail_committed = lines and lines[-1] == ""
-    if tail_committed:
-        lines = lines[:-1]
-    records: list[dict[str, Any]] = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1 and not tail_committed:
-                break  # torn final write
-            raise TraceError(f"trace {path} corrupt at line {index + 1}")
+    records = read_jsonl_tolerant(path, label="trace", error=TraceError)
     if not records or records[0].get("type") != "header":
         raise TraceError(f"trace {path} has no header record")
     if records[0].get("format") != "repro-trace":

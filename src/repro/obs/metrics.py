@@ -24,8 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Mapping
 
-from repro.obs.names import DEPRECATED_METRICS
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -127,9 +125,6 @@ class MetricsRegistry:
         self.labels: dict[str, str] = {}
 
     def _get(self, name: str, kind: type, factory) -> Any:
-        # Deprecated names alias their replacement: both address ONE
-        # instrument, so dashboards keyed on either agree mid-migration.
-        name = DEPRECATED_METRICS.get(name, name)
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = factory(name)

@@ -8,11 +8,6 @@ authority on what a network metric is called and what it means:
   ``chaos.*`` instrument name with its kind and meaning.  Wildcard
   entries (``netd.rounds.*``) cover per-key families.  A test asserts
   that every metric the code emits appears here, so the table cannot rot;
-* :data:`DEPRECATED_METRICS` — renamed instruments.
-  :class:`~repro.obs.metrics.MetricsRegistry` resolves old names to
-  their replacements on access, so ``registry.counter(old)`` and
-  ``registry.counter(new)`` are the *same* instrument and dashboards
-  keyed on either name agree during a migration window;
 * :func:`metric_documented` / :func:`undocumented` — the lookup helpers
   the completeness test (and ``scripts/selfcheck.py``) use.
 
@@ -29,8 +24,6 @@ from typing import Iterable
 
 __all__ = [
     "METRIC_NAME_TABLE",
-    "DEPRECATED_METRICS",
-    "canonical_metric_name",
     "metric_documented",
     "undocumented",
 ]
@@ -82,7 +75,6 @@ METRIC_NAME_TABLE: dict[str, tuple[str, str]] = {
     "chase.incremental": ("counter", "solve rounds served by the warm incremental pipeline"),
     "chase.retracted": ("counter", "derived facts withdrawn by provenance-guided retraction"),
     "chase.refired": ("counter", "chase steps re-fired by semi-naive delta matching"),
-    "chase.fallback": ("counter", "incremental rounds that fell back to a from-scratch chase"),
     # -- chaos.* : the socket-level fault-injection proxy ---------------
     "chaos.connections": ("counter", "connections the proxy accepted and linked"),
     "chaos.refused": ("counter", "connections refused (severed/partitioned)"),
@@ -94,27 +86,12 @@ METRIC_NAME_TABLE: dict[str, tuple[str, str]] = {
     "chaos.severed": ("counter", "frames lost to a mid-stream connection kill"),
 }
 
-#: Renamed instruments: old name → canonical name.  The registry resolves
-#: these on access, so both names address one instrument.
-DEPRECATED_METRICS: dict[str, str] = {
-    # PR 8: pluralized to match netd.delta_fallbacks (one vocabulary for
-    # the simulator and the daemon).
-    "net.delta_fallback": "net.delta_fallbacks",
-}
-
-
-def canonical_metric_name(name: str) -> str:
-    """Resolve a possibly-deprecated metric name to its canonical form."""
-    return DEPRECATED_METRICS.get(name, name)
-
-
 def metric_documented(name: str) -> bool:
-    """True when ``name`` (canonicalized) appears in the table.
+    """True when ``name`` appears in the table.
 
     Names outside the ``net.`` / ``netd.`` / ``chaos.`` / ``chase.``
     namespaces are not this table's business and always pass.
     """
-    name = canonical_metric_name(name)
     if not name.startswith(("net.", "netd.", "chaos.", "chase.")):
         return True
     if name in METRIC_NAME_TABLE:

@@ -23,13 +23,14 @@ nulls never collide with cached ones; it starts above every null of the
 first round's input, so they never collide with nulls a resumed session
 brought back from its journal either.
 
-The solver is *self-healing*: any precondition failure
-(:class:`~repro.exceptions.IncrementalChaseUnsupported`) or interrupted
-round (budget exhaustion mid-chase) resets the cache, and the next call
-simply rebuilds from scratch.  Callers never need to distinguish the
-cold path from the warm path — only ``method`` in the result
-(``"tractable-incremental"`` vs ``"tractable"``) and the ``chase.*``
-metrics tell them apart.
+The solver chases only ``Σ_st`` and ``Σ_ts``, which
+:class:`~repro.core.setting.PDESetting` restricts to tgds, so the
+incremental chase's egd preconditions never bind here.  It is
+*self-healing*: an interrupted round (budget exhaustion mid-chase)
+resets the cache, and the next call simply rebuilds from scratch.
+Callers never need to distinguish the cold path from the warm path —
+only ``method`` in the result (``"tractable-incremental"`` vs
+``"tractable"``) and the ``chase.*`` metrics tell them apart.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.chase import ChaseResult, chase, chase_incremental
 from repro.core.instance import Instance
 from repro.core.setting import PDESetting
 from repro.core.terms import InstanceTerm, Null, NullFactory
-from repro.exceptions import IncrementalChaseUnsupported, SolverError
+from repro.exceptions import SolverError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.budget import Budget
@@ -63,7 +64,7 @@ class IncrementalTractableSolver:
     snapshot shares no lineage with the cached one.
 
     The cache is only committed after a fully successful round, so an
-    exception mid-round (budget, unsupported delta) leaves the solver
+    exception mid-round (budget, cancellation) leaves the solver
     consistent; the next round falls back to a cold build.
     """
 
@@ -121,17 +122,8 @@ class IncrementalTractableSolver:
         """
         if tracer is None:
             tracer = NULL_TRACER
-        incremental = self.warm
         try:
-            return self._solve(source, target, incremental, budget, tracer, metrics)
-        except IncrementalChaseUnsupported:
-            # Unsupported delta (e.g. an egd became applicable): rebuild
-            # from scratch this round; the caller never sees the raise.
-            self.reset()
-            if metrics is not None:
-                metrics.counter("chase.fallback").inc()
-            tracer.event("incremental-fallback", reason="unsupported-delta")
-            return self._solve(source, target, False, budget, tracer, metrics)
+            return self._solve(source, target, self.warm, budget, tracer, metrics)
         except Exception:
             # Mid-round interruption (budget, cancellation, chase overrun):
             # the cache may hold a consumed support index — drop it.

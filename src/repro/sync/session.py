@@ -83,9 +83,9 @@ from typing import Iterator, NamedTuple
 from repro.core.atoms import Fact
 from repro.core.chase import (
     _disjunct_satisfied,
+    _ground,
     _head_satisfied,
-    _instantiate_body,
-    _unify_row,
+    _seeded_matches,
 )
 from repro.core.dependencies import TGD, DisjunctiveTGD
 from repro.core.homomorphism import iter_homomorphisms
@@ -167,18 +167,17 @@ def _candidate_matches(
     more than once.
     """
     if withdrawn_rows is None:
-        yield from iter_homomorphisms(dependency.body, state)
-        return
-    body_vars = dependency.body_variables()
+        return iter_homomorphisms(dependency.body, state)
     heads = (
         (dependency.head,) if isinstance(dependency, TGD) else dependency.disjuncts
     )
-    for head in heads:
-        for atom in head:
-            for args in withdrawn_rows.get(atom.relation, ()):
-                partial = _unify_row(atom, args, restrict=body_vars)
-                if partial is not None:
-                    yield from iter_homomorphisms(dependency.body, state, partial)
+    return _seeded_matches(
+        [atom for head in heads for atom in head],
+        dependency.body,
+        state,
+        withdrawn_rows,
+        dependency.body_variables(),
+    )
 
 
 def _premise_key(premise: tuple[Fact, ...]) -> tuple:
@@ -379,7 +378,7 @@ class SyncSession:
         for dependency in self.setting.sigma_ts:
             checked: set[tuple[Fact, ...]] = set()
             for assignment in _candidate_matches(dependency, state, withdrawn_rows):
-                premise = _instantiate_body(dependency, assignment)
+                premise = _ground(dependency.body, assignment)
                 if premise in checked:
                     continue
                 checked.add(premise)

@@ -41,7 +41,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     TraceContext,
-    canonical_metric_name,
     metric_documented,
     read_postmortem,
     stitch,
@@ -345,25 +344,10 @@ def test_every_emitted_network_metric_is_documented():
     assert not missing, f"undocumented metric name(s): {missing}"
 
 
-def test_deprecated_metric_names_alias_one_instrument():
-    registry = MetricsRegistry()
-    registry.counter("net.delta_fallback").inc()
-    registry.counter("net.delta_fallbacks").inc(2)
-    # Both names address the same counter, keyed canonically.
-    assert registry.counter("net.delta_fallback") is registry.counter(
-        "net.delta_fallbacks"
-    )
-    counters = registry.snapshot()["counters"]
-    assert counters["net.delta_fallbacks"] == 3
-    assert "net.delta_fallback" not in counters
-
-
 def test_metric_name_helpers():
-    assert canonical_metric_name("net.delta_fallback") == "net.delta_fallbacks"
-    assert canonical_metric_name("net.sent") == "net.sent"
     assert metric_documented("netd.rounds.applied")  # wildcard family
     assert metric_documented("netd.lag.peer-b")
-    assert metric_documented("net.delta_fallback")  # via the shim
+    assert not metric_documented("net.delta_fallback")  # a trace event, not a metric
     assert metric_documented("solve.duration_ms")  # not this table's business
     assert not metric_documented("netd.made_up")
     assert undocumented(["net.sent", "chaos.nonsense"]) == ["chaos.nonsense"]
