@@ -10,33 +10,34 @@ state and reports, before a single virtual second elapses, the schedule
 mistakes that would make the run raise, prove nothing, or silently
 exercise none of the machinery it was written to exercise.
 
-The interpreter mirrors the simulator's semantics exactly where they
-matter for soundness:
+The interpreter shares the simulator's rules rather than copying them:
+it walks :meth:`repro.net.Scenario.timeline`, partitions go through
+:func:`repro.net.scenarios.connected`, and reachability is
+:meth:`repro.net.Scenario.reachable` — the same three definitions the
+simulator and the socket harness call.  So:
 
 * simultaneous timeline entries tie-break control events before
-  publishes (the simulator's ``_CONTROL < _PUBLISH`` ranks), and within
-  a kind preserve list order;
-* partitions drop at *send* time with the implicit remainder group of
-  :meth:`repro.net.SimTransport.connected`; crashes drop at *delivery*
-  time, so a crashed peer only *certainly* misses a publish when it
-  stays down past the latest possible delivery (base latency plus
-  whatever reorder / delay / duplicate lag the link's fault schedule
-  could add);
+  publishes, and within a kind preserve list order;
+* partitions drop at *send* time, with peers named in no group sharing
+  an implicit remainder group; crashes drop at *delivery* time, so a
+  crashed peer only *certainly* misses a publish when it stays down past
+  the latest possible delivery (base latency plus whatever reorder /
+  delay / duplicate lag the link's fault schedule could add);
 * anti-entropy is reliable, so a lossy-but-connected link is a hygiene
   finding (``PDE305``), while a peer unreachable at quiescence makes the
   convergence check vacuous (``PDE304``) — an error, because the run
   would "pass" while verifying nothing;
-* scenarios with a declared relay ``topology`` are judged path-wise: the
-  reachability behind ``PDE304`` walks the relay graph exactly as
-  :meth:`repro.net.NetworkSimulator._reachable_set` does, a live peer
-  severed from every relay route is ``PDE310``, a directed relay cycle
-  is ``PDE311`` (safe under stamp watermarks, but each lap is wasted
-  wire traffic), and a custody assignment that statically starves a peer
-  of the publisher's feed is ``PDE312`` — an error, since no amount of
-  healing can deliver a feed no path carries.  Star-only arguments
-  (``PDE307``'s overtake window and ``PDE308``'s certain-miss chain
-  dooming) assume the publisher is adjacent and are skipped for relay
-  topologies.
+* reachability is path-wise on every scenario (a star is the derived
+  relay graph): the set behind ``PDE304`` is the simulator's own
+  breadth-first search over custody-carrying links.  With a declared
+  relay ``topology``, a live peer severed from every relay route is
+  ``PDE310``, a directed relay cycle is ``PDE311`` (safe under stamp
+  watermarks, but each lap is wasted wire traffic), and a custody
+  assignment that statically starves a peer of the publisher's feed is
+  ``PDE312`` — an error, since no amount of healing can deliver a feed
+  no path carries.  Star-only arguments (``PDE307``'s overtake window
+  and ``PDE308``'s certain-miss chain dooming) assume the publisher is
+  adjacent and are skipped for declared topologies.
 
 Timeline findings are the ``PDE3xx`` band; the ``PDE4xx`` band checks
 the declarative multi-publisher merge contract (``co_publishers`` /
@@ -71,6 +72,7 @@ from repro.net.scenarios import (
     Partition,
     Restart,
     Scenario,
+    connected,
 )
 from repro.runtime.faults import FaultSchedule
 
@@ -137,22 +139,6 @@ def _fault_free(schedule: FaultSchedule | None) -> bool:
     )
 
 
-def _connected(
-    groups: tuple[frozenset[str], ...] | None, a: str, b: str
-) -> bool:
-    """Mirror of :meth:`repro.net.SimTransport.connected`."""
-    if groups is None or a == b:
-        return True
-    group_of_a = group_of_b = None
-    for group in groups:
-        if a in group:
-            group_of_a = group
-        if b in group:
-            group_of_b = group
-    # Unnamed peers share the implicit remainder group (both None).
-    return group_of_a is group_of_b
-
-
 # ---------------------------------------------------------------------------
 # relay-topology predicates (PDE31x)
 # ---------------------------------------------------------------------------
@@ -188,43 +174,9 @@ def _relay_cycle(scenario: Scenario) -> tuple[str, ...] | None:
     return None
 
 
-def _relay_reachable(
-    scenario: Scenario,
-    crashed: Iterable[str],
-    groups: tuple[frozenset[str], ...] | None,
-) -> set[str]:
-    """Peers a custody-carrying live path connects to the publisher.
-
-    Mirror of :meth:`repro.net.NetworkSimulator._reachable_set` under the
-    abstract end-of-timeline state: an edge is traversable when it
-    carries the publisher's feed, its recipient is not crashed, and the
-    surviving partition (if any) does not sever its ends.  With
-    ``crashed=()`` and ``groups=None`` this is the *fault-free* custody
-    reachability the PDE312 rule checks.
-    """
-    feed = scenario.publisher
-    down = set(crashed)
-    seen = {feed}
-    frontier = [feed]
-    while frontier:
-        current = frontier.pop(0)
-        for link in scenario.downstream(current, feed):
-            nxt = link.recipient
-            if nxt in seen or nxt in down or not _connected(groups, current, nxt):
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    seen.discard(feed)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # the timeline interpreter (PDE3xx)
 # ---------------------------------------------------------------------------
-
-#: Tie-break ranks matching the simulator's timeline heap.
-_CONTROL, _PUBLISH = 0, 1
-
 
 def _latest_delivery(
     at: float,
@@ -275,17 +227,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
     for times in restart_times.values():
         times.sort()
 
-    # Merged timeline, with the simulator's tie-breaks: at equal time a
-    # control event applies before a publish; within a kind, list order.
-    entries: list[tuple[float, int, int, Any]] = [
-        (index * interval, _PUBLISH, index, index)
-        for index in range(n_publishes)
-    ]
-    entries.extend(
-        (event.at, _CONTROL, order, event)
-        for order, event in enumerate(scenario.events)
-    )
-    entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
+    timeline = scenario.timeline()
 
     # Abstract state.
     groups: tuple[frozenset[str], ...] | None = None
@@ -295,9 +237,9 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
     epoch_starts: set[int] = {0}
     certain_missed: dict[str, set[int]] = {peer: set() for peer in peers}
 
-    for at, kind, _order, payload in entries:
-        if kind == _CONTROL:
-            event = payload
+    for at, item in timeline:
+        if not isinstance(item, int):
+            event = item
             if isinstance(event, Partition):
                 groups = event.groups
                 partition_since = at
@@ -337,7 +279,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
             continue
 
         # A publish.
-        index = payload
+        index = item
         if pending_bump is not None:
             epoch_starts.add(index)
             first_hop = [
@@ -345,7 +287,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                 for link in scenario.downstream(publisher, publisher)
             ]
             if first_hop and all(
-                not _connected(groups, publisher, peer) for peer in first_hop
+                not connected(groups, publisher, peer) for peer in first_hop
             ):
                 diagnostics.append(
                     _diag(
@@ -367,7 +309,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
             continue
         for peer in peers:
             schedule = scenario.faults.get((publisher, peer))
-            if not _connected(groups, publisher, peer):
+            if not connected(groups, publisher, peer):
                 # Partition refuses at send time: no copy ever exists.
                 certain_missed[peer].add(index)
             elif _always_drops(schedule):
@@ -384,7 +326,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                     certain_missed[peer].add(index)
 
     # ---- end-of-timeline checks -------------------------------------------
-    end = max(entry[0] for entry in entries) if entries else 0.0
+    end = max(at for at, _item in timeline)
     horizon = round(end + interval, 6)
 
     if groups is not None:
@@ -453,7 +395,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                     "unintentional; it is safe but wasteful",
                 )
             )
-        custody_gapped = set(peers) - _relay_reachable(scenario, (), None)
+        custody_gapped = set(peers) - scenario.reachable()
         for peer in sorted(custody_gapped):
             diagnostics.append(
                 _diag(
@@ -468,13 +410,13 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                 )
             )
 
+    reachable = scenario.reachable(crashed, groups)
     if topology:
-        relay_reachable = _relay_reachable(scenario, crashed, groups)
         for peer in sorted(peers):
             if (
                 peer in crashed  # already PDE302
                 or peer in custody_gapped  # already PDE312
-                or peer in relay_reachable
+                or peer in reachable
             ):
                 continue
             diagnostics.append(
@@ -489,13 +431,6 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                     "or add a redundant relay link",
                 )
             )
-        reachable = [peer for peer in peers if peer in relay_reachable]
-    else:
-        reachable = [
-            peer
-            for peer in peers
-            if peer not in crashed and _connected(groups, publisher, peer)
-        ]
     if not reachable:
         diagnostics.append(
             _diag(

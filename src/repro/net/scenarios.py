@@ -30,8 +30,9 @@ Shipped scenarios (see :func:`scenario_registry`):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.instance import Instance
 from repro.core.parser import parse_instance
@@ -49,6 +50,7 @@ __all__ = [
     "RelayLink",
     "Restart",
     "Scenario",
+    "connected",
     "crash_scenario",
     "genomics_churn_scenario",
     "genomics_scenario",
@@ -113,6 +115,27 @@ class BumpEpoch:
 NetworkEvent = Partition | Heal | Crash | Restart | BumpEpoch
 
 
+def connected(
+    groups: tuple[frozenset[str], ...] | None, a: str, b: str
+) -> bool:
+    """Can ``a`` reach ``b`` under the partition ``groups``?
+
+    The one partition rule every runner and the linter share: None means
+    healed, and peers named in no group form an implicit remainder group
+    together.
+    """
+    if groups is None or a == b:
+        return True
+    group_of_a = group_of_b = None
+    for group in groups:
+        if a in group:
+            group_of_a = group
+        if b in group:
+            group_of_b = group
+    # Unnamed peers share the implicit remainder group (both None).
+    return group_of_a is group_of_b
+
+
 # ----------------------------------------------------------------------
 # relay topology
 # ----------------------------------------------------------------------
@@ -175,15 +198,17 @@ class Scenario:
             latency``).
         faults: per directed link ``(sender, recipient)``, the
             :class:`~repro.runtime.FaultSchedule` afflicting it.
-        events: control events, any order (the simulator sorts by time).
+        events: control events, any order (:meth:`timeline` sorts by
+            time).
         pinned: optional per-peer pinned facts.
         seed: the seed the builder derived the scenario from (recorded
             for reports; all randomness is already baked in).
         co_publishers: additional publishers for the *same* setting.
-            Declarative for now: the simulator refuses to run
-            multi-publisher scenarios until the trust-ordered merge
-            lands, but :func:`repro.analysis.analyze_scenario` already
-            checks the declaration (PDE4xx).
+            Declarative for now: both network runners refuse
+            multi-publisher scenarios (:meth:`refuse_co_publishers`)
+            until the trust-ordered merge lands, but
+            :func:`repro.analysis.analyze_scenario` already checks the
+            declaration (PDE4xx).
         trust: the trust order over publishers, most-trusted first — the
             Bertossi–Bravo resolution for equal stamps issued by
             different publishers.
@@ -312,6 +337,69 @@ class Scenario:
             for link in self.relay_links
             if link.recipient == name and (feed is None or link.carries(feed))
         )
+
+    def reachable(
+        self,
+        crashed: Iterable[str] = (),
+        groups: tuple[frozenset[str], ...] | None = None,
+    ) -> set[str]:
+        """Peers a custody-carrying live path connects to the publisher.
+
+        Breadth-first over :attr:`relay_links`: an edge is traversable
+        when it carries the publisher's feed, its recipient is not in
+        ``crashed``, and the partition ``groups`` (see :func:`connected`)
+        does not sever its ends.  On the derived star this is every live
+        peer in the publisher's group; with no crashes and no partition
+        it is the fault-free custody reachability.
+        """
+        feed = self.publisher
+        down = set(crashed)
+        seen = {feed}
+        frontier = deque([feed])
+        while frontier:
+            current = frontier.popleft()
+            for link in self.downstream(current, feed):
+                nxt = link.recipient
+                if nxt in seen or nxt in down or not connected(groups, current, nxt):
+                    continue
+                seen.add(nxt)
+                frontier.append(nxt)
+        seen.discard(feed)
+        return seen
+
+    def timeline(self) -> list[tuple[float, int | NetworkEvent]]:
+        """Publishes and control events in run order, as ``(at, item)``.
+
+        ``item`` is a snapshot index for a publish (snapshot ``i`` at
+        ``i * interval``) or the control event itself.  At equal
+        instants control events come first, so a partition or crash
+        that coincides with a publish applies before it; within a kind,
+        list order holds.
+        """
+        controls = [
+            (event.at, 0, order, event) for order, event in enumerate(self.events)
+        ]
+        publishes = [
+            (index * self.interval, 1, index, index)
+            for index in range(len(self.snapshots))
+        ]
+        ordered = sorted(controls + publishes, key=lambda entry: entry[:3])
+        return [(at, item) for at, _kind, _order, item in ordered]
+
+    def refuse_co_publishers(self) -> None:
+        """Raise :class:`~repro.exceptions.SimulationError` on co-publishers.
+
+        The multi-publisher merge (trust-ordered, see ``co_publishers``)
+        is declarative only: both network runners call this before they
+        start, rather than silently run the primary publisher alone.
+        """
+        if self.co_publishers:
+            raise SimulationError(
+                f"scenario {self.name!r} declares co-publishers "
+                f"{self.co_publishers}; no network runner implements the "
+                "trust-ordered merge yet (lint checks the declaration with "
+                "the PDE4xx rules)"
+            )
 
 
 # ----------------------------------------------------------------------

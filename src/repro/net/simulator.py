@@ -39,9 +39,9 @@ state with deltas on or off.
 
 from __future__ import annotations
 
-import heapq
 import shutil
 import tempfile
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -257,11 +257,6 @@ def check_convergence(
     )
 
 
-#: Tie-break ranks for simultaneous timeline entries: control events
-#: apply before publishes, publishes before deliveries.
-_CONTROL, _PUBLISH, _DELIVERY = 0, 1, 2
-
-
 class NetworkSimulator:
     """Drive one scenario to quiescence on a virtual clock.
 
@@ -298,16 +293,7 @@ class NetworkSimulator:
         deltas: bool = False,
         max_queue: int | None = None,
     ) -> None:
-        if scenario.co_publishers:
-            # The multi-publisher merge (trust-ordered, cf. the Scenario
-            # docstring) is declarative-only for now; refuse loudly rather
-            # than silently ignore the extra publishers.
-            raise SimulationError(
-                f"scenario {scenario.name!r} declares co-publishers "
-                f"{scenario.co_publishers}; the simulator does not implement "
-                "the trust-ordered merge yet (lint checks the declaration "
-                "with the PDE4xx rules)"
-            )
+        scenario.refuse_co_publishers()
         self.scenario = scenario
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -394,21 +380,6 @@ class NetworkSimulator:
     # the event loop
     # ------------------------------------------------------------------
 
-    def _timeline(self) -> list[tuple[float, int, int, object]]:
-        """The scripted (non-delivery) timeline as a sorted heap."""
-        entries: list[tuple[float, int, int, object]] = []
-        order = 0
-        for index in range(len(self.scenario.snapshots)):
-            entries.append(
-                (index * self.scenario.interval, _PUBLISH, order, index)
-            )
-            order += 1
-        for event in self.scenario.events:
-            entries.append((event.at, _CONTROL, order, event))
-            order += 1
-        heapq.heapify(entries)
-        return entries
-
     def run(self) -> SimulationReport:
         """Execute the scenario to quiescence and check convergence."""
         if self._ran:
@@ -417,7 +388,7 @@ class NetworkSimulator:
         with self.tracer.span(
             "simulate", scenario=self.scenario.name, seed=self.scenario.seed
         ):
-            timeline = self._timeline()
+            timeline = deque(self.scenario.timeline())
             while timeline or self.transport.pending():
                 next_scripted = timeline[0][0] if timeline else None
                 next_delivery = self.transport.next_delivery_at()
@@ -427,12 +398,12 @@ class NetworkSimulator:
                     next_scripted is not None and next_scripted <= next_delivery
                 )
                 if take_scripted:
-                    at, kind, _order, payload = heapq.heappop(timeline)
+                    at, item = timeline.popleft()
                     self._advance(at)
-                    if kind == _PUBLISH:
-                        self._publish(payload)
+                    if isinstance(item, int):
+                        self._publish(item)
                     else:
-                        self._control(payload)
+                        self._control(item)
                 else:
                     at, message = self.transport.pop_delivery()
                     self._advance(at)
@@ -671,41 +642,14 @@ class NetworkSimulator:
     def reachable(self, peer: str) -> bool:
         """Is ``peer`` live and connected to the feed right now?
 
-        Reachability walks the relay graph (:meth:`_reachable_set`) — a
-        peer is reachable iff some custody-carrying path of connected
-        links and live relays leads from the publisher to it.  On the
-        derived star that path is the direct link to the publisher.
+        Reachability walks the relay graph
+        (:meth:`~repro.net.Scenario.reachable`) — a peer is reachable iff
+        some custody-carrying path of connected links and live relays
+        leads from the publisher to it.  On the derived star that path is
+        the direct link to the publisher.
         """
-        node = self.nodes[peer]
-        if node.crashed:
-            return False
-        return peer in self._reachable_set()
-
-    def _reachable_set(self) -> set[str]:
-        """Peers a custody-carrying live path connects to the publisher.
-
-        Breadth-first over the relay graph: an edge is traversable when
-        it carries the feed, its recipient is live, and the transport
-        currently connects its ends (partitions sever edges, not just
-        the publisher's own links).
-        """
-        feed = self.scenario.publisher
-        seen = {feed}
-        frontier = [feed]
-        while frontier:
-            current = frontier.pop(0)
-            for link in self.scenario.downstream(current, feed):
-                nxt = link.recipient
-                if (
-                    nxt in seen
-                    or self.nodes[nxt].crashed
-                    or not self.transport.connected(current, nxt)
-                ):
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-        seen.discard(feed)
-        return seen
+        crashed = [name for name, node in self.nodes.items() if node.crashed]
+        return peer in self.scenario.reachable(crashed, self.transport._groups)
 
     def _repair_sources(self, name: str) -> list[str]:
         """Upstream neighbors able to repair ``name`` right now.

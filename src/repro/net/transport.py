@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.instance import Instance
+from repro.net.scenarios import connected
 from repro.net.scoring import PeerScorer
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
@@ -219,16 +220,7 @@ class SimTransport:
 
     def connected(self, a: str, b: str) -> bool:
         """Can ``a`` currently reach ``b``? (Trivially yes when healed.)"""
-        if self._groups is None or a == b:
-            return True
-        group_of_a = group_of_b = None
-        for group in self._groups:
-            if a in group:
-                group_of_a = group
-            if b in group:
-                group_of_b = group
-        # Unnamed peers share the implicit remainder group (both None).
-        return group_of_a is group_of_b
+        return connected(self._groups, a, b)
 
     # ------------------------------------------------------------------
     # sending / delivering

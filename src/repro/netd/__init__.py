@@ -21,9 +21,12 @@ sockets, without changing a line of the protocol itself:
   seeded :class:`~repro.runtime.FaultSchedule` objects as the
   simulator, so every scripted scenario re-runs as an integration test
   against real sockets;
-* :func:`run_scenario_netd` — the harness tying them together and
-  judging the result with the simulator's own
-  :func:`~repro.net.check_convergence` oracle.
+* :func:`run_scenario_netd` — the harness tying them together: it runs
+  any simulator scenario on one daemon per peer, wired along the
+  scenario's relay graph (:attr:`~repro.net.Scenario.relay_links`, so a
+  star is just the derived graph), maps ``Crash`` / ``Restart`` to the
+  peer daemon's ``crash_peer`` / ``restart_peer``, and judges the result
+  with the simulator's own :func:`~repro.net.check_convergence` oracle.
 
 The CLI front door is ``repro.cli serve`` / ``repro.cli connect``.
 """

@@ -2,23 +2,33 @@
 
 :func:`run_scenario_netd` takes the *same* :class:`~repro.net.Scenario`
 values the in-memory :class:`~repro.net.NetworkSimulator` executes and
-replays them against live machinery: one :class:`~repro.netd.SyncDaemon`
-hosting every subscriber peer, one :class:`~repro.netd.ChaosProxy` per
-publisher→peer link carrying that link's seeded
-:class:`~repro.runtime.FaultSchedule`, and one
-:class:`~repro.netd.PublisherClient` per link walking the scenario's
-publish timeline (scaled from virtual seconds to wall clock by
-``time_scale``).  Control events map one-to-one:
-:class:`~repro.net.Partition` / :class:`~repro.net.Heal` become proxy
-partitions, :class:`~repro.net.Crash` / :class:`~repro.net.Restart`
-crash and journal-resume the daemon-hosted peer, and
+replays them against live machinery over the scenario's relay graph
+(:attr:`~repro.net.Scenario.relay_links`: the declared topology, or the
+derived publisher→peer star).  Every peer runs in its own
+:class:`~repro.netd.SyncDaemon` on a unix socket, journaling into its
+own subdirectory (``journal_dir/<peer>/``); relay links are the
+daemons' relay subscriptions, one :class:`~repro.netd.ChaosProxy` per
+link carries that link's seeded :class:`~repro.runtime.FaultSchedule`,
+and one :class:`~repro.netd.PublisherClient` per first-hop link walks
+the publish timeline (:meth:`~repro.net.Scenario.timeline`, scaled from
+virtual seconds to wall clock by ``time_scale``).  Control events map
+one-to-one: :class:`~repro.net.Partition` / :class:`~repro.net.Heal`
+become proxy partitions under the shared
+:func:`~repro.net.scenarios.connected` rule, :class:`~repro.net.Crash`
+/ :class:`~repro.net.Restart` call
+:meth:`~repro.netd.SyncDaemon.crash_peer` /
+:meth:`~repro.netd.SyncDaemon.restart_peer` on the peer's own daemon
+(the simulator's crash model: the peer loses its memory and resumes
+from its journal, while copies it already sent stay in flight), and
 :class:`~repro.net.BumpEpoch` bumps the stamp epoch and re-baselines
 every client's delta chain.
 
-After the timeline drains the harness runs the same bounded
-**anti-entropy** repair the simulator runs — lagging reachable peers are
-re-offered the latest snapshot over a clean connection (no proxy) — and
-then judges the final states with the very same transport-independent
+After the timeline drains the harness runs the same bounded, path-aware
+**anti-entropy** repair the simulator runs — each lagging peer that
+:meth:`~repro.net.Scenario.reachable` still connects to the feed is
+re-offered the latest snapshot over a clean connection (no proxy) from
+its healthiest caught-up upstream — and then judges the final states
+with the very same transport-independent
 :func:`~repro.net.check_convergence` oracle.  That shared oracle is the
 point: a scenario that converges in simulation must converge over real
 sockets, and the chaos integration tests additionally assert the final
@@ -41,6 +51,7 @@ from repro.net.scenarios import (
     Partition,
     Restart,
     Scenario,
+    connected,
 )
 from repro.net.scoring import PeerScorer
 from repro.net.simulator import ConvergenceReport, check_convergence
@@ -54,10 +65,6 @@ from repro.runtime.retry import RetryPolicy
 from repro.sync.session import Stamp
 
 __all__ = ["NetdReport", "run_scenario_netd"]
-
-#: Tie-break ranks matching the simulator: control events before
-#: publishes at the same timeline instant.
-_CONTROL, _PUBLISH = 0, 1
 
 
 @dataclass
@@ -82,10 +89,13 @@ class NetdReport:
     drained: bool = True
     log: list[str] = field(repr=False, default_factory=list)
     trace_files: dict[str, Path] = field(default_factory=dict)
+    #: Flight-recorder files the daemons flushed: ``<peer>.postmortem.jsonl``
+    #: per crash and ``daemon.postmortem.jsonl`` per stop, each in the
+    #: peer's journal subdirectory.
     postmortems: list[Path] = field(default_factory=list)
     #: Per-link peer scores (``"sender->recipient"``) merged from every
-    #: daemon's scorer plus the publisher's own links; empty for star runs
-    #: before any score-worthy traffic.
+    #: daemon's relay scorer plus the publisher's own first-hop links and
+    #: the anti-entropy repairs.
     scores: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -117,8 +127,9 @@ def run_scenario_netd(
     Args:
         scenario: the same scenario value the simulator runs.
         deltas: ship incremental payloads when they beat the snapshot.
-        journal_dir: per-peer journal directory (a temp dir when None,
-            removed after the run).
+        journal_dir: root of the journals; each peer's daemon journals
+            and writes its post-mortems in ``journal_dir/<peer>/`` (a
+            temp dir when None, removed after the run).
         time_scale: wall-clock seconds per virtual scenario second.
         use_chaos: route each link through a fault-injecting
             :class:`~repro.netd.ChaosProxy`; False connects directly
@@ -129,10 +140,16 @@ def run_scenario_netd(
         node_cap: optional per-round node cap on the daemon's budgets.
         tracer / metrics: optional shared :mod:`repro.obs` sinks.
         trace_dir: when set, the run records one distributed-tracing
-            lane per component — ``publisher.jsonl``, ``daemon.jsonl``,
-            and (under chaos) ``chaos.jsonl`` are written there for
+            lane per component — ``publisher.jsonl``, ``daemon.jsonl``
+            (shared by every peer's daemon), and (under chaos)
+            ``chaos.jsonl`` are written there for
             :func:`repro.obs.stitch`; overrides ``tracer``.
+
+    Raises:
+        SimulationError: the scenario declares co-publishers (see
+            :meth:`~repro.net.Scenario.refuse_co_publishers`).
     """
+    scenario.refuse_co_publishers()
     return asyncio.run(
         _run(
             scenario,
@@ -165,301 +182,6 @@ async def _run(
     metrics: MetricsRegistry | None,
     trace_dir: str | Path | None = None,
 ) -> NetdReport:
-    if scenario.topology:
-        return await _run_mesh(
-            scenario,
-            deltas=deltas,
-            journal_dir=journal_dir,
-            time_scale=time_scale,
-            use_chaos=use_chaos,
-            max_queue=max_queue,
-            ack_timeout=ack_timeout,
-            anti_entropy_limit=anti_entropy_limit,
-            node_cap=node_cap,
-            tracer=tracer,
-            metrics=metrics,
-            trace_dir=trace_dir,
-        )
-    owns_journal_dir = journal_dir is None
-    if owns_journal_dir:
-        journal_dir = tempfile.mkdtemp(prefix=f"repro-netd-{scenario.name}-")
-    log: list[str] = []
-    virtual_now = 0.0
-
-    # One tracer per component when trace_dir is set: each writes its own
-    # JSONL lane, and the three files stitch into one timeline because
-    # every lane shares this process's perf_counter clock.
-    lane_tracers: dict[str, Tracer] = {}
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        lane_tracers["publisher"] = Tracer()
-        lane_tracers["daemon"] = Tracer()
-        if use_chaos:
-            lane_tracers["chaos"] = Tracer()
-    publisher_tracer = lane_tracers.get("publisher", tracer)
-    daemon_tracer = lane_tracers.get("daemon", tracer)
-    chaos_tracer = lane_tracers.get("chaos", tracer)
-
-    def note(text: str) -> None:
-        log.append(f"t={virtual_now:07.3f} {text}")
-
-    daemon = SyncDaemon(
-        scenario.setting,
-        scenario.peers,
-        journal_dir=journal_dir,
-        pinned=scenario.pinned,
-        node_cap=node_cap,
-        heartbeat_interval=5.0,
-        idle_timeout=60.0,
-        max_queue=max_queue,
-        tracer=daemon_tracer,
-        metrics=metrics,
-    )
-    await daemon.start()
-    note(f"daemon serving {daemon.address}")
-
-    proxies: dict[str, ChaosProxy] = {}
-    clients: dict[str, PublisherClient] = {}
-    crashed: set[str] = set()
-    try:
-        for peer in scenario.peers:
-            address = daemon.address
-            if use_chaos:
-                proxy = ChaosProxy(
-                    upstream=daemon.address,
-                    schedule=scenario.faults.get((scenario.publisher, peer)),
-                    latency=scenario.latency,
-                    reorder_delay=scenario.reorder_delay,
-                    time_scale=time_scale,
-                    tracer=chaos_tracer,
-                    metrics=metrics,
-                )
-                await proxy.start()
-                proxies[peer] = proxy
-                address = proxy.address
-            client = PublisherClient(
-                address,
-                peer,
-                sender=scenario.publisher,
-                deltas=deltas,
-                retry=RetryPolicy(
-                    max_attempts=3,
-                    base_delay=0.02,
-                    max_delay=0.1,
-                    seed=scenario.seed,
-                ),
-                max_queue=max_queue,
-                ack_timeout=ack_timeout,
-                heartbeat_interval=1.0,
-                tracer=publisher_tracer,
-                metrics=metrics,
-            )
-            await client.start()
-            clients[peer] = client
-
-        # ---- the timeline: publishes + control events, simulator order
-        timeline: list[tuple[float, int, int, object]] = []
-        order = 0
-        for index in range(len(scenario.snapshots)):
-            timeline.append((index * scenario.interval, _PUBLISH, order, index))
-            order += 1
-        for event in scenario.events:
-            timeline.append((event.at, _CONTROL, order, event))
-            order += 1
-        timeline.sort()
-
-        epoch, seq = 1, 0
-        published = 0
-        published_stamps: list[Stamp] = []
-        latest_stamp: Stamp | None = None
-        latest_snapshot: Instance | None = None
-
-        for at, kind, _order, payload in timeline:
-            if at > virtual_now:
-                await asyncio.sleep((at - virtual_now) * time_scale)
-                virtual_now = at
-            if kind == _PUBLISH:
-                snapshot = scenario.snapshots[payload]
-                seq += 1
-                stamp = Stamp(epoch, seq)
-                latest_stamp, latest_snapshot = stamp, snapshot
-                published_stamps.append(stamp)
-                published += 1
-                note(f"publish stamp={stamp} facts={len(snapshot)}")
-                for peer in scenario.peers:
-                    await clients[peer].offer(stamp, snapshot)
-            elif isinstance(payload, Partition):
-                rendered = [",".join(sorted(group)) for group in payload.groups]
-                note(f"partition {'|'.join(rendered)}")
-                for peer in scenario.peers:
-                    if peer in proxies:
-                        if _severed(scenario.publisher, peer, payload.groups):
-                            proxies[peer].partition()
-                        else:
-                            proxies[peer].heal()
-            elif isinstance(payload, Heal):
-                note("heal")
-                for proxy in proxies.values():
-                    proxy.heal()
-            elif isinstance(payload, Crash):
-                note(f"crash {payload.peer}")
-                daemon.crash_peer(payload.peer)
-                crashed.add(payload.peer)
-            elif isinstance(payload, Restart):
-                daemon.restart_peer(payload.peer)
-                crashed.discard(payload.peer)
-                note(
-                    f"restart {payload.peer} "
-                    f"stamp={daemon.watermark(payload.peer)}"
-                )
-            elif isinstance(payload, BumpEpoch):
-                epoch += 1
-                seq = 0
-                for client in clients.values():
-                    client.rebase()
-                note(f"epoch-bump epoch={epoch}")
-
-        # ---- quiescence: let every client finish its pending sends
-        for client in clients.values():
-            await client.drain(timeout=30.0)
-        note("quiescent")
-
-        # ---- anti-entropy over clean connections, like the simulator's
-        # reliable repair channel: bounded rounds, lagging peers only.
-        anti_entropy = 0
-        if latest_snapshot is not None:
-            for round_number in range(1, anti_entropy_limit + 1):
-                lagging = [
-                    peer
-                    for peer in scenario.peers
-                    if _reachable(peer, crashed, proxies)
-                    and _behind(daemon.watermark(peer), latest_stamp)
-                ]
-                if not lagging:
-                    break
-                for peer in lagging:
-                    anti_entropy += 1
-                    if metrics is not None:
-                        metrics.counter("netd.anti_entropy").inc()
-                    repair = PublisherClient(
-                        daemon.address,
-                        peer,
-                        sender=scenario.publisher,
-                        ack_timeout=max(1.0, ack_timeout),
-                        tracer=publisher_tracer,
-                        metrics=metrics,
-                    )
-                    await repair.start()
-                    outcome = await repair.publish(latest_stamp, latest_snapshot)
-                    await repair.close()
-                    note(
-                        f"anti-entropy round={round_number} peer={peer} "
-                        f"stamp={latest_stamp} -> {outcome}"
-                    )
-
-        # ---- collect final states and judge with the shared oracle
-        states: dict[str, Instance] = {}
-        unreachable: list[str] = []
-        watermarks: dict[str, Stamp | None] = {}
-        for peer in scenario.peers:
-            watermarks[peer] = daemon.watermark(peer)
-            if _reachable(peer, crashed, proxies):
-                states[peer] = daemon.peer_state(peer)
-            else:
-                unreachable.append(peer)
-        convergence = check_convergence(
-            scenario, states, unreachable,
-            watermarks=watermarks, published=published_stamps,
-        )
-        note(
-            "convergence "
-            + (
-                " ".join(
-                    f"{name}={'ok' if ok else 'DIVERGED'}"
-                    for name, ok in sorted(convergence.peers.items())
-                )
-                if convergence.peers
-                else "vacuous (no reachable peers)"
-            )
-        )
-
-        stats: dict[str, int] = {"anti_entropy": anti_entropy}
-        for peer, client in clients.items():
-            for key, value in client.stats.items():
-                stats[key] = stats.get(key, 0) + value
-        for proxy in proxies.values():
-            for key, value in proxy.stats.items():
-                stats[f"chaos_{key}"] = stats.get(f"chaos_{key}", 0) + value
-        for host in daemon.hosts.values():
-            for key, value in host.stats.items():
-                stats[f"daemon_{key}"] = stats.get(f"daemon_{key}", 0) + value
-
-        # Orderly teardown *inside* the run so the report can record
-        # whether the daemon drained cleanly (the finally below is an
-        # idempotent safety net for the exception paths).
-        for client in clients.values():
-            await client.close(bye=True)
-        drained = await daemon.stop(drain=True)
-        note(f"daemon stopped drained={drained}")
-
-        trace_files = _write_lanes(lane_tracers, trace_dir)
-        for label, path in trace_files.items():
-            note(f"trace lane {label} -> {path}")
-
-        return NetdReport(
-            scenario=scenario.name,
-            seed=scenario.seed,
-            published=published,
-            final_stamp=latest_stamp,
-            states=states,
-            unreachable=unreachable,
-            stats=stats,
-            convergence=convergence,
-            drained=drained,
-            log=log,
-            trace_files=trace_files,
-            postmortems=list(daemon.postmortems),
-        )
-    finally:
-        for client in clients.values():
-            await client.close(bye=False)
-        for proxy in proxies.values():
-            await proxy.stop()
-        await daemon.stop(drain=False)
-        _write_lanes(lane_tracers, trace_dir)
-        if owns_journal_dir:
-            shutil.rmtree(journal_dir, ignore_errors=True)
-
-
-async def _run_mesh(
-    scenario: Scenario,
-    deltas: bool,
-    journal_dir: str | Path | None,
-    time_scale: float,
-    use_chaos: bool,
-    max_queue: int,
-    ack_timeout: float,
-    anti_entropy_limit: int,
-    node_cap: int | None,
-    tracer: Tracer,
-    metrics: MetricsRegistry | None,
-    trace_dir: str | Path | None = None,
-) -> NetdReport:
-    """Run a relay-topology scenario: one daemon *per peer*, real hops.
-
-    The mesh twin of the star path above.  Every peer runs in its own
-    :class:`~repro.netd.SyncDaemon` on a unix socket; relay links are
-    the daemons' own relay subscriptions (an applied round is pushed to
-    the downstream daemon over the frame protocol), so a 3-hop chain
-    exchanges state over three real socket connections.  Chaos proxies
-    sit on faulted links, :class:`~repro.net.Crash` maps to
-    :meth:`~repro.netd.SyncDaemon.abort` — ``kill -9`` of that whole
-    daemon — and :class:`~repro.net.Restart` boots a fresh daemon on the
-    same journals and socket path.  Anti-entropy is path-aware: a
-    lagging peer is repaired from its healthiest caught-up upstream
-    (per-link scores), never from an origin it may not be adjacent to.
-    """
     owns_journal_dir = journal_dir is None
     if owns_journal_dir:
         journal_dir = tempfile.mkdtemp(prefix=f"repro-netd-{scenario.name}-")
@@ -471,6 +193,9 @@ async def _run_mesh(
     log: list[str] = []
     virtual_now = 0.0
 
+    # One tracer per component when trace_dir is set: each writes its own
+    # JSONL lane, and the files stitch into one timeline because every
+    # lane shares this process's perf_counter clock.
     lane_tracers: dict[str, Tracer] = {}
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
@@ -487,7 +212,6 @@ async def _run_mesh(
         log.append(f"t={virtual_now:07.3f} {text}")
 
     feed = scenario.publisher
-    links = scenario.relay_links
     socket_of = {peer: str(socket_dir / f"{peer}.sock") for peer in scenario.peers}
 
     proxies: dict[tuple[str, str], ChaosProxy] = {}
@@ -496,49 +220,17 @@ async def _run_mesh(
     crashed: set[str] = set()
     groups: tuple[frozenset[str], ...] | None = None
     scorer = PeerScorer(metrics=metrics, prefix="netd")
-    postmortems: list[Path] = []
 
     def link_address(sender: str, recipient: str):
         proxy = proxies.get((sender, recipient))
         return proxy.address if proxy is not None else socket_of[recipient]
-
-    def relay_config(peer: str) -> dict[str, list[tuple[str, object]]]:
-        downstream = [
-            (link.recipient, link_address(peer, link.recipient))
-            for link in scenario.downstream(peer, feed)
-        ]
-        return {peer: downstream} if downstream else {}
-
-    async def boot_daemon(peer: str) -> SyncDaemon:
-        path = Path(socket_of[peer])
-        if path.exists():
-            # A previous incarnation's socket file; the new server must
-            # bind the same address relay pumps keep dialing.
-            path.unlink()
-        daemon = SyncDaemon(
-            scenario.setting,
-            [peer],
-            listen=socket_of[peer],
-            journal_dir=journal_dir / peer,
-            pinned={peer: scenario.pinned[peer]} if peer in scenario.pinned else None,
-            node_cap=node_cap,
-            heartbeat_interval=5.0,
-            idle_timeout=60.0,
-            max_queue=max_queue,
-            tracer=daemon_tracer,
-            metrics=metrics,
-            relays=relay_config(peer),
-        )
-        await daemon.start()
-        daemons[peer] = daemon
-        return daemon
 
     try:
         # Chaos proxies first: relay configs point at them.  Every link
         # gets one under chaos (schedule may be None — the proxy still
         # enforces partitions); clean runs dial daemons directly.
         if use_chaos:
-            for link in links:
+            for link in scenario.relay_links:
                 proxy = ChaosProxy(
                     upstream=socket_of[link.recipient],
                     schedule=scenario.faults.get((link.sender, link.recipient)),
@@ -551,7 +243,29 @@ async def _run_mesh(
                 await proxy.start()
                 proxies[(link.sender, link.recipient)] = proxy
         for peer in scenario.peers:
-            await boot_daemon(peer)
+            downstream = [
+                (link.recipient, link_address(peer, link.recipient))
+                for link in scenario.downstream(peer, feed)
+            ]
+            daemon = SyncDaemon(
+                scenario.setting,
+                [peer],
+                listen=socket_of[peer],
+                journal_dir=journal_dir / peer,
+                pinned=(
+                    {peer: scenario.pinned[peer]}
+                    if peer in scenario.pinned else None
+                ),
+                node_cap=node_cap,
+                heartbeat_interval=5.0,
+                idle_timeout=60.0,
+                max_queue=max_queue,
+                tracer=daemon_tracer,
+                metrics=metrics,
+                relays={peer: downstream} if downstream else None,
+            )
+            await daemon.start()
+            daemons[peer] = daemon
             note(f"daemon {peer} serving {socket_of[peer]}")
         for link in scenario.downstream(feed, feed):
             client = PublisherClient(
@@ -575,68 +289,50 @@ async def _run_mesh(
             clients[link.recipient] = client
 
         # ---- the timeline, in simulator order
-        timeline: list[tuple[float, int, int, object]] = []
-        order = 0
-        for index in range(len(scenario.snapshots)):
-            timeline.append((index * scenario.interval, _PUBLISH, order, index))
-            order += 1
-        for event in scenario.events:
-            timeline.append((event.at, _CONTROL, order, event))
-            order += 1
-        timeline.sort()
-
         epoch, seq = 1, 0
-        published = 0
         published_stamps: list[Stamp] = []
         latest_stamp: Stamp | None = None
         latest_snapshot: Instance | None = None
 
         def apply_partition() -> None:
             for (sender, recipient), proxy in proxies.items():
-                if groups is not None and _severed(sender, recipient, groups):
-                    proxy.partition()
-                else:
+                if connected(groups, sender, recipient):
                     proxy.heal()
+                else:
+                    proxy.partition()
 
-        for at, kind, _order, payload in timeline:
+        for at, item in scenario.timeline():
             if at > virtual_now:
                 await asyncio.sleep((at - virtual_now) * time_scale)
                 virtual_now = at
-            if kind == _PUBLISH:
-                snapshot = scenario.snapshots[payload]
+            if isinstance(item, int):
+                snapshot = scenario.snapshots[item]
                 seq += 1
                 stamp = Stamp(epoch, seq)
                 latest_stamp, latest_snapshot = stamp, snapshot
                 published_stamps.append(stamp)
-                published += 1
                 note(f"publish stamp={stamp} facts={len(snapshot)}")
-                for peer, client in clients.items():
+                for client in clients.values():
                     await client.offer(stamp, snapshot)
-            elif isinstance(payload, Partition):
-                rendered = [",".join(sorted(group)) for group in payload.groups]
+            elif isinstance(item, Partition):
+                rendered = [",".join(sorted(group)) for group in item.groups]
                 note(f"partition {'|'.join(rendered)}")
-                groups = payload.groups
+                groups = item.groups
                 apply_partition()
-            elif isinstance(payload, Heal):
+            elif isinstance(item, Heal):
                 note("heal")
                 groups = None
                 apply_partition()
-            elif isinstance(payload, Crash):
-                # kill -9 of that peer's whole daemon: no drain, no BYE;
-                # only its fsynced journal survives for the restart.
-                note(f"crash {payload.peer} (daemon abort)")
-                daemon = daemons[payload.peer]
-                daemon.abort()
-                postmortems.extend(daemon.postmortems)
-                crashed.add(payload.peer)
-            elif isinstance(payload, Restart):
-                daemon = await boot_daemon(payload.peer)
-                crashed.discard(payload.peer)
-                note(
-                    f"restart {payload.peer} "
-                    f"stamp={daemon.watermark(payload.peer)}"
-                )
-            elif isinstance(payload, BumpEpoch):
+            elif isinstance(item, Crash):
+                note(f"crash {item.peer}")
+                daemons[item.peer].crash_peer(item.peer)
+                crashed.add(item.peer)
+            elif isinstance(item, Restart):
+                daemon = daemons[item.peer]
+                daemon.restart_peer(item.peer)
+                crashed.discard(item.peer)
+                note(f"restart {item.peer} stamp={daemon.watermark(item.peer)}")
+            elif isinstance(item, BumpEpoch):
                 epoch += 1
                 seq = 0
                 for client in clients.values():
@@ -646,7 +342,7 @@ async def _run_mesh(
         # ---- quiescence: drain the publisher, then let forwards settle
         for client in clients.values():
             await client.drain(timeout=30.0)
-        await _settle(daemons, crashed)
+        await _settle(daemons)
         note("quiescent")
 
         # Fold the publisher's own link outcomes into the mesh scorer so
@@ -662,37 +358,40 @@ async def _run_mesh(
 
         # ---- path-aware anti-entropy: repair each lagging peer from its
         # healthiest caught-up upstream neighbor, cascading hop by hop.
+        reachable = scenario.reachable(crashed, groups)
         anti_entropy = 0
         if latest_snapshot is not None:
             for round_number in range(1, anti_entropy_limit + 1):
                 lagging = [
                     peer
                     for peer in scenario.peers
-                    if peer not in crashed
-                    and _mesh_reachable(scenario, peer, crashed, groups)
+                    if peer in reachable
                     and _behind(daemons[peer].watermark(peer), latest_stamp)
                 ]
                 if not lagging:
                     break
                 repaired_any = False
                 for peer in lagging:
-                    candidates = []
-                    for link in scenario.upstreams(peer, feed):
-                        sender = link.sender
-                        if groups is not None and _severed(sender, peer, groups):
-                            continue
-                        if sender != feed:
-                            if sender in crashed or _behind(
-                                daemons[sender].watermark(sender), latest_stamp
-                            ):
-                                continue
-                        candidates.append(sender)
+                    # A relay can repair once caught up; a crashed one has
+                    # no watermark, so it is behind.
+                    candidates = [
+                        link.sender
+                        for link in scenario.upstreams(peer, feed)
+                        if connected(groups, link.sender, peer)
+                        and (
+                            link.sender == feed
+                            or not _behind(
+                                daemons[link.sender].watermark(link.sender),
+                                latest_stamp,
+                            )
+                        )
+                    ]
                     if not candidates:
                         continue
-                    upstream = sorted(
+                    upstream = min(
                         candidates,
                         key=lambda sender: (-link_score(sender, peer), sender),
-                    )[0]
+                    )
                     if upstream == feed:
                         payload_snapshot = latest_snapshot
                     else:
@@ -727,12 +426,8 @@ async def _run_mesh(
         unreachable: list[str] = []
         watermarks: dict[str, Stamp | None] = {}
         for peer in scenario.peers:
-            watermarks[peer] = (
-                daemons[peer].watermark(peer) if peer not in crashed else None
-            )
-            if peer not in crashed and _mesh_reachable(
-                scenario, peer, crashed, groups
-            ):
+            watermarks[peer] = daemons[peer].watermark(peer)
+            if peer in reachable:
                 states[peer] = daemons[peer].peer_state(peer)
             else:
                 unreachable.append(peer)
@@ -759,7 +454,7 @@ async def _run_mesh(
         for proxy in proxies.values():
             for key, value in proxy.stats.items():
                 stats[f"chaos_{key}"] = stats.get(f"chaos_{key}", 0) + value
-        for peer, daemon in daemons.items():
+        for daemon in daemons.values():
             stats["forwarded"] = stats.get("forwarded", 0) + daemon.stats["forwarded"]
             for host in daemon.hosts.values():
                 for key, value in host.stats.items():
@@ -769,16 +464,14 @@ async def _run_mesh(
         for daemon in daemons.values():
             scores.update(daemon.scorer.snapshot())
 
+        # Orderly teardown *inside* the run so the report can record
+        # whether every daemon drained cleanly (the finally below is an
+        # idempotent safety net for the exception paths).
         drained = True
-        for peer, client in clients.items():
+        for client in clients.values():
             await client.close(bye=True)
-        for peer, daemon in daemons.items():
-            if peer in crashed:
-                continue
+        for daemon in daemons.values():
             drained = await daemon.stop(drain=True) and drained
-            postmortems.extend(
-                path for path in daemon.postmortems if path not in postmortems
-            )
         note(f"daemons stopped drained={drained}")
 
         trace_files = _write_lanes(lane_tracers, trace_dir)
@@ -788,7 +481,7 @@ async def _run_mesh(
         return NetdReport(
             scenario=scenario.name,
             seed=scenario.seed,
-            published=published,
+            published=len(published_stamps),
             final_stamp=latest_stamp,
             states=states,
             unreachable=unreachable,
@@ -797,7 +490,11 @@ async def _run_mesh(
             drained=drained,
             log=log,
             trace_files=trace_files,
-            postmortems=postmortems,
+            postmortems=list(
+                dict.fromkeys(
+                    path for daemon in daemons.values() for path in daemon.postmortems
+                )
+            ),
             scores=scores,
         )
     finally:
@@ -813,13 +510,11 @@ async def _run_mesh(
             shutil.rmtree(journal_dir, ignore_errors=True)
 
 
-async def _settle(
-    daemons: dict[str, SyncDaemon], crashed: set[str], deadline: float = 5.0
-) -> None:
+async def _settle(daemons: dict[str, SyncDaemon], deadline: float = 5.0) -> None:
     """Wait for relay forwards to stop propagating (watermarks stable).
 
     The publisher's drain only covers first-hop deliveries; forwarded
-    rounds are still in flight down the mesh.  Settling = every live
+    rounds are still in flight down the graph.  Settling = every
     daemon's relay queues empty and no watermark moved for a few ticks.
     """
     loop = asyncio.get_running_loop()
@@ -828,14 +523,11 @@ async def _settle(
     stable = 0
     while loop.time() < end:
         snapshot = tuple(
-            (peer, daemon.watermark(peer))
-            for peer, daemon in sorted(daemons.items())
-            if peer not in crashed
+            (peer, daemon.watermark(peer)) for peer, daemon in sorted(daemons.items())
         )
         busy = any(
             not queue.empty()
-            for peer, daemon in daemons.items()
-            if peer not in crashed
+            for daemon in daemons.values()
             for queue in daemon._relay_queues.values()
         )
         if snapshot == last and not busy:
@@ -846,36 +538,6 @@ async def _settle(
             stable = 0
         last = snapshot
         await asyncio.sleep(0.05)
-
-
-def _mesh_reachable(
-    scenario: Scenario,
-    peer: str,
-    crashed: set[str],
-    groups: tuple[frozenset[str], ...] | None,
-) -> bool:
-    """Does a live, unsevered relay path lead from the feed to ``peer``?
-
-    The harness twin of the simulator's path-based reachability: BFS
-    over custody-carrying links, skipping crashed daemons and links the
-    current partition severs.
-    """
-    feed = scenario.publisher
-    seen = {feed}
-    frontier = [feed]
-    while frontier:
-        current = frontier.pop(0)
-        for link in scenario.downstream(current, feed):
-            nxt = link.recipient
-            if nxt in seen or nxt in crashed:
-                continue
-            if groups is not None and _severed(current, nxt, groups):
-                continue
-            if nxt == peer:
-                return True
-            seen.add(nxt)
-            frontier.append(nxt)
-    return False
 
 
 def _write_lanes(
@@ -890,32 +552,6 @@ def _write_lanes(
         write_trace_jsonl(lane, path)
         trace_files[label] = path
     return trace_files
-
-
-def _severed(
-    publisher: str, peer: str, groups: tuple[frozenset[str], ...]
-) -> bool:
-    """Does this partition separate ``peer`` from ``publisher``?
-
-    Mirrors :meth:`repro.net.SimTransport.connected`: peers named in no
-    group share an implicit remainder group.
-    """
-    group_of_publisher = group_of_peer = None
-    for group in groups:
-        if publisher in group:
-            group_of_publisher = group
-        if peer in group:
-            group_of_peer = group
-    return group_of_publisher is not group_of_peer
-
-
-def _reachable(
-    peer: str, crashed: set[str], proxies: dict[str, ChaosProxy]
-) -> bool:
-    if peer in crashed:
-        return False
-    proxy = proxies.get(peer)
-    return proxy is None or not proxy.partitioned
 
 
 def _behind(watermark: Stamp | None, latest: Stamp | None) -> bool:

@@ -8,6 +8,7 @@ excluded from the tier-1 run.
 
 import pytest
 
+from repro.analysis import analyze_scenario
 from repro.cli import main
 from repro.core.parser import parse_instance
 from repro.exceptions import SimulationError
@@ -106,6 +107,47 @@ class TestShippedScenarios:
         scenario = scenario_registry()[name](seed)
         report = NetworkSimulator(scenario, journal_dir=tmp_path).run()
         assert report.converged, "\n".join(report.log)
+
+
+class TestTimelineOrder:
+    """Control events before publishes at equal instants.
+
+    The order is defined once, by :meth:`repro.net.Scenario.timeline`,
+    and the simulator, the linter and the socket harness all walk it.
+    """
+
+    def test_partition_at_a_publish_instant_applies_first(self):
+        partition = Partition(1.0, {"pub", "p2"}, {"p1"})
+        scenario = Scenario(
+            name="tie-break",
+            description="partition coincides with publish 1",
+            setting=registry_setting(),
+            snapshots=[
+                parse_instance(text)
+                for text in (
+                    "reg(a, 1)",
+                    "reg(a, 1); reg(b, 2)",
+                    "reg(a, 1); reg(b, 2); reg(c, 3)",
+                )
+            ],
+            peers=["p1", "p2"],
+            publisher="pub",
+            events=[partition, Heal(1.5)],
+        )
+        timeline = scenario.timeline()
+        assert timeline.index((1.0, partition)) < timeline.index((1.0, 1))
+
+        report = NetworkSimulator(scenario).run()
+        # Partitions drop at send time: publish 1 to p1 is refused.  Had
+        # the publish gone first, nothing would have been refused.
+        assert report.stats["partition_dropped"] == 1
+        assert report.converged
+        assert report.convergence.peers["p1"]
+
+        # The linter walks the same order: p1 certainly misses publish 1,
+        # so the delta keyed on it is doomed.
+        [doomed] = analyze_scenario(scenario, deltas=True).diagnostics
+        assert doomed.code == "PDE308" and "'p1'" in doomed.message
 
 
 class TestDeterminism:

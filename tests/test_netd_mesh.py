@@ -11,7 +11,9 @@ import pytest
 
 from repro.core.parser import parse_instance
 from repro.net import (
+    Crash,
     RelayLink,
+    Restart,
     Scenario,
     registry_setting,
     relay_chain_scenario,
@@ -20,6 +22,7 @@ from repro.net import (
 )
 from repro.net.simulator import NetworkSimulator
 from repro.netd import PublisherClient, SyncDaemon, run_scenario_netd
+from repro.obs import read_postmortem
 from repro.sync import Stamp
 
 SNAPSHOTS = [
@@ -172,24 +175,56 @@ def test_kill9_middle_relay_no_duplicate_applies(tmp_path):
     run(scenario())
 
 
-def test_mesh_harness_clean_network(tmp_path):
-    """A topology scenario through run_scenario_netd without chaos."""
-    scenario = Scenario(
-        name="mini-chain",
-        description="2-hop chain, clean network",
-        setting=registry_setting(),
-        publisher="origin",
-        peers=["mid", "leaf"],
-        snapshots=SNAPSHOTS[:2],
-        topology=(RelayLink("origin", "mid"), RelayLink("mid", "leaf")),
-    )
+@pytest.mark.parametrize(
+    "publishes, events, min_forwarded",
+    [
+        (2, (), 2),
+        # Stamp 4 follows the restart, so the relay forwards at least it.
+        (4, (Crash(1.5, "mid"), Restart(2.5, "mid")), 1),
+    ],
+    ids=["clean", "relay-crash"],
+)
+def test_mesh_harness_clean_network(tmp_path, publishes, events, min_forwarded):
+    """A topology scenario through run_scenario_netd without chaos.
+
+    In the relay-crash case the harness maps ``Crash`` to the relay
+    daemon's ``crash_peer``: the middle relay loses its memory, resumes
+    from its journal at ``Restart``, and leaves a crash post-mortem in
+    its own journal subdirectory, while the final states still agree
+    with a simulator run of the same scenario.
+    """
+
+    def build():
+        return Scenario(
+            name="mini-chain",
+            description="2-hop chain, clean network",
+            setting=registry_setting(),
+            publisher="origin",
+            peers=["mid", "leaf"],
+            snapshots=SNAPSHOTS[:publishes],
+            events=list(events),
+            topology=(RelayLink("origin", "mid"), RelayLink("mid", "leaf")),
+        )
+
     report = run_scenario_netd(
-        scenario, journal_dir=tmp_path, use_chaos=False, time_scale=0.01
+        build(), journal_dir=tmp_path / "netd", use_chaos=False, time_scale=0.01
     )
     assert report.converged
     assert not report.unreachable
-    assert report.stats.get("forwarded", 0) >= len(SNAPSHOTS[:2])
+    assert report.stats.get("forwarded", 0) >= min_forwarded
     assert "mid->leaf" in report.scores
+
+    simulator = NetworkSimulator(build(), journal_dir=tmp_path / "sim")
+    assert simulator.run().converged
+    for peer, state in report.states.items():
+        assert states_agree(state, simulator.nodes[peer].state())
+
+    if events:
+        [path] = [p for p in report.postmortems if p.name == "mid.postmortem.jsonl"]
+        assert path.parent == tmp_path / "netd" / "mid"
+        postmortem = read_postmortem(path)
+        assert postmortem.reason == "crash"
+        assert any(event["name"] == "netd.peer_crashed" for event in postmortem.events)
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 """Tests for the scenario static analyzer (timeline interpreter + merge rules).
 
 Covers every PDE3xx/PDE4xx rule firing and staying quiet, the scenario
-JSON round-trip, the simulator's multi-publisher guard, the shipped-
+JSON round-trip, both runners' multi-publisher guard, the shipped-
 fixture regressions (all registered scenarios and example files lint
 clean), and the headline property: a random scenario the analyzer calls
 clean must actually converge in the :class:`~repro.net.NetworkSimulator`.
@@ -37,6 +37,7 @@ from repro.net import (
     registry_setting,
     scenario_registry,
 )
+from repro.netd import run_scenario_netd
 from repro.runtime.faults import FaultSchedule
 
 
@@ -265,12 +266,15 @@ class TestMergeRules:
         scenario = make_scenario(repair="nuke-it")
         assert codes(scenario) == ["PDE405"]
 
-    def test_simulator_refuses_co_publishers(self):
+    @pytest.mark.parametrize(
+        "runner", [NetworkSimulator, run_scenario_netd], ids=["simulator", "netd"]
+    )
+    def test_simulator_refuses_co_publishers(self, runner):
         scenario = make_scenario(
             co_publishers=("pub2",), trust=("pub", "pub2")
         )
         with pytest.raises(SimulationError, match="co-publishers"):
-            NetworkSimulator(scenario)
+            runner(scenario)
 
 
 class TestEntryPoints:
