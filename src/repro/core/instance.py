@@ -285,9 +285,24 @@ class Instance:
         return True
 
     def union(self, other: "Instance") -> "Instance":
-        """Return a new instance containing the facts of both operands."""
-        merged = self.copy()
-        merged.add_all(other)
+        """Return a new instance containing the facts of both operands.
+
+        The result keeps ``self.schema``.  When that is None or equals
+        ``other.schema``, every fact already passed it, so the larger
+        operand is copied bucket by bucket (see :meth:`copy`) and the
+        smaller one added without re-validation; sync sessions take
+        ``pinned ∪ imported`` several times a round.  Otherwise ``other``'s
+        facts are validated against ``self.schema`` one by one.
+        """
+        if self.schema is not None and self.schema != other.schema:
+            merged = self.copy()
+            merged.add_all(other)
+            return merged
+        larger, smaller = (self, other) if len(self) >= len(other) else (other, self)
+        merged = larger.copy()
+        merged.schema = self.schema
+        for fact in smaller:
+            merged._add_unchecked(fact)
         return merged
 
     def difference(self, other: "Instance") -> "Instance":

@@ -115,6 +115,9 @@ class PublisherClient:
         self._pending_ready = asyncio.Event()
         self._pending_space = asyncio.Event()
         self._pending_space.set()
+        # Set whenever an outcome is recorded or the sender stops; the
+        # waiters in publish() and drain() re-check their condition on it.
+        self._settled = asyncio.Event()
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._receiver: asyncio.Task | None = None
@@ -147,6 +150,7 @@ class PublisherClient:
         self._sender_task = asyncio.create_task(
             self._send_loop(), name=f"netd-client-{self.peer}"
         )
+        self._sender_task.add_done_callback(lambda _: self._settled.set())
         self._heartbeat_task = asyncio.create_task(
             self._heartbeat_loop(), name=f"netd-hb-{self.peer}"
         )
@@ -155,6 +159,7 @@ class PublisherClient:
         """Stop publishing and close the connection (``BYE`` if orderly)."""
         self.closed = True
         self._pending_ready.set()
+        self._settled.set()
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
         if self._sender_task is not None:
@@ -329,6 +334,7 @@ class PublisherClient:
             evicted_stamp, _ = self._pending.popleft()
             self.stats["queue_evicted"] += 1
             self.outcomes[evicted_stamp] = "superseded"
+            self._settled.set()
             if self.metrics is not None:
                 self.metrics.counter("netd.queue_evicted").inc()
             self.tracer.event(
@@ -360,7 +366,7 @@ class PublisherClient:
                 self._sender_task is not None and self._sender_task.done()
             ):
                 return self.outcomes.get(stamp, "closed")
-            await asyncio.sleep(0.01)
+            await self._settle()
         return self.outcomes[stamp]
 
     async def drain(self, timeout: float = 30.0) -> bool:
@@ -368,13 +374,18 @@ class PublisherClient:
 
         async def empty() -> None:
             while self._pending or self._in_flight:
-                await asyncio.sleep(0.01)
+                await self._settle()
 
         try:
             await asyncio.wait_for(empty(), timeout=timeout)
             return True
         except asyncio.TimeoutError:
             return False
+
+    async def _settle(self) -> None:
+        """Wait for the next recorded outcome or sender stop."""
+        self._settled.clear()
+        await self._settled.wait()
 
     def rebase(self) -> None:
         """Forget the delta base (e.g. after an epoch bump re-keys stamps)."""
@@ -421,6 +432,7 @@ class PublisherClient:
                 self._pending.popleft()
             self._note_depth()
             self._pending_space.set()
+            self._settled.set()
 
     def _encode_payload(
         self,

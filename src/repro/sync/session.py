@@ -70,9 +70,10 @@ and the base snapshot is retained; otherwise the round reports
 ``outcome.reason == DELTA_CHAIN_BROKEN`` (and ``outcome.chain_broken``)
 without touching any state, telling the sender to fall back to a full
 snapshot.  The retained source commits to the journal with its round, so
-a resumed session keeps its delta chain intact across crashes; journals
-written before delta support load with no retained source and simply
-break the chain once, forcing one full-snapshot refresh.
+a resumed session keeps its delta chain intact across crashes; a journal
+whose commits carry no source loads with no retained source and simply
+breaks the chain once, forcing one full-snapshot refresh (a version-1
+journal, written before diff commits, is refused outright).
 """
 
 from __future__ import annotations
@@ -661,7 +662,7 @@ class SyncSession:
                 # round: a resumed session then still holds the delta base,
                 # so a crash does not break the delta chain.
                 self.journal.record_round(
-                    round_number, imported, added, retracted, stamp=stamp,
+                    round_number, imported, stamp=stamp,
                     source=source if stamp is not None else None,
                 )
                 tracer.event("journal-commit", round=round_number)

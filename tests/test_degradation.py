@@ -347,6 +347,17 @@ class TestJournalCrashRecovery:
         restored = SyncSession.resume(journal)
         assert restored.rounds == 2
         assert restored.state() == session.state()
+        # Later commits must not land on the torn fragment: the session
+        # keeps running, and a second resume still recovers all of it.
+        for text in self.SNAPSHOTS[2:]:
+            assert restored.sync(parse_instance(text)).ok
+        resumed_again = SyncSession.resume(SessionJournal(journal.path))
+
+        uninterrupted = SyncSession(registry_setting)
+        for text in self.SNAPSHOTS:
+            assert uninterrupted.sync(parse_instance(text)).ok
+        assert resumed_again.rounds == uninterrupted.rounds == 3
+        assert resumed_again.state() == uninterrupted.state()
 
     def test_resume_preserves_pinned_facts(self, tmp_path, registry_setting):
         journal = SessionJournal(tmp_path / "session.journal")

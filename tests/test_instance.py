@@ -245,3 +245,65 @@ class TestChurnRegressions:
         with pytest.raises(AttributeError):
             empty.add(("zz", "zz"))  # type: ignore[attr-defined]
         assert fact("E", "zz", "zz") not in instance
+
+
+class TestUnionFastPath:
+    """``union`` copies the larger operand when both share a schema."""
+
+    SCHEMA = {"E": 2, "F": 1}
+
+    def _operand(self, rng, schema, size):
+        instance = Instance(schema=schema)
+        for _ in range(size):
+            value = rng.randrange(8)
+            if rng.random() < 0.5:
+                instance.add(fact("E", f"c{value}", Null(rng.randrange(4))))
+            else:
+                instance.add(fact("F", f"c{value}"))
+        return instance
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("schemas", ["none", "only-other", "equal", "different"])
+    def test_union_matches_fact_by_fact_union(self, seed, schemas):
+        import random
+
+        rng = random.Random(seed)
+        first_schema, second_schema = {
+            "none": (None, None),
+            "only-other": (None, Schema.from_arities(self.SCHEMA)),
+            "equal": (Schema.from_arities(self.SCHEMA), Schema.from_arities(self.SCHEMA)),
+            "different": (
+                Schema.from_arities(self.SCHEMA),
+                Schema.from_arities({**self.SCHEMA, "G": 3}),
+            ),
+        }[schemas]
+        first = self._operand(rng, first_schema, rng.randrange(12))
+        second = self._operand(rng, second_schema, rng.randrange(12))
+        for operand in (first, second):
+            if rng.random() < 0.5:  # a built index must be carried over
+                operand.candidate_rows("E", 0, Constant("c0"))
+
+        union = first.union(second)
+        expected = Instance(schema=first_schema)
+        for f in list(first) + list(second):
+            expected.add(f)
+        assert union == expected
+        assert union.schema is first_schema
+        assert len(union) == len(expected)
+        fresh = Instance(list(union))
+        for f in union:
+            for position, value in enumerate(f.args):
+                assert union.candidate_rows(f.relation, position, value) == (
+                    fresh.candidate_rows(f.relation, position, value)
+                )
+        union.add(fact("F", "new"))
+        assert fact("F", "new") not in first and fact("F", "new") not in second
+
+    def test_bad_arity_still_raises_when_schemas_differ(self):
+        narrow = Instance(schema=Schema.from_arities({"E": 2}), facts=[fact("E", "a", "b")])
+        wide = Instance(schema=Schema.from_arities({"E": 3}))
+        wide.add(fact("E", "a", "b", "c"))
+        with pytest.raises(SchemaError):
+            narrow.union(wide)
+        with pytest.raises(SchemaError):
+            narrow.union(Instance([fact("E", "x")]))

@@ -262,7 +262,7 @@ class TestSessionJournal:
         pinned = parse_instance("db(own, data)")
         imported = parse_instance("db(a, 1); db(b, 2)")
         journal.ensure_header(registry_setting, pinned)
-        journal.record_round(1, imported, imported.copy(), Instance())
+        journal.record_round(1, imported)
         state = journal.load()
         assert isinstance(state, JournalState)
         assert state.rounds == 1
@@ -273,8 +273,8 @@ class TestSessionJournal:
     def test_last_commit_wins(self, tmp_path, registry_setting):
         journal = self._journal(tmp_path)
         journal.ensure_header(registry_setting, Instance())
-        journal.record_round(1, parse_instance("db(a, 1)"), Instance(), Instance())
-        journal.record_round(2, parse_instance("db(b, 2)"), Instance(), Instance())
+        journal.record_round(1, parse_instance("db(a, 1)"))
+        journal.record_round(2, parse_instance("db(b, 2)"))
         state = journal.load()
         assert state.rounds == 2
         assert state.imported == parse_instance("db(b, 2)")
@@ -288,7 +288,7 @@ class TestSessionJournal:
     def test_torn_final_line_dropped(self, tmp_path, registry_setting):
         journal = self._journal(tmp_path)
         journal.ensure_header(registry_setting, Instance())
-        journal.record_round(1, parse_instance("db(a, 1)"), Instance(), Instance())
+        journal.record_round(1, parse_instance("db(a, 1)"))
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "commit", "round": 2, "impo')  # crash mid-append
         state = journal.load()
@@ -300,7 +300,7 @@ class TestSessionJournal:
         journal.ensure_header(registry_setting, Instance())
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write("garbage, not json\n")  # committed (newline-terminated)
-        journal.record_round(1, parse_instance("db(a, 1)"), Instance(), Instance())
+        journal.record_round(1, parse_instance("db(a, 1)"))
         with pytest.raises(JournalError):
             journal.load()
 
@@ -310,14 +310,16 @@ class TestSessionJournal:
         with pytest.raises(JournalError):
             journal.load()
 
-    def test_unsupported_version_raises(self, tmp_path, registry_setting):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_unsupported_version_raises(self, tmp_path, registry_setting, version):
         journal = self._journal(tmp_path)
         journal.ensure_header(registry_setting, Instance())
         lines = journal.path.read_text().splitlines()
         header = json.loads(lines[0])
-        header["version"] = 999
+        header["version"] = version
         journal.path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(JournalError):
+        detail = "predates diff commits" if version == 1 else "unsupported version"
+        with pytest.raises(JournalError, match=detail):
             journal.load()
 
 
